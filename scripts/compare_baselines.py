@@ -19,7 +19,6 @@ def main():
     ap.add_argument("--out", default="runs/compare")
     ap.add_argument("--budget", type=int, default=130)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     def emit(line):
@@ -27,8 +26,7 @@ def main():
 
     summary = run_compare(
         load_stock_task(args.task), args.base, args.out,
-        RunConfig(seed=args.seed, max_iterations=args.budget,
-                  n_workers=args.threads),
+        RunConfig(seed=args.seed, max_iterations=args.budget),
         emit,
     )
     for arm, row in summary["arms"].items():

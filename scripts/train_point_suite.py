@@ -1,7 +1,7 @@
 """Train the full point-robot stack: base, four modules, then eval each.
 
 Budgets and seeds are the ones the reported numbers came from.  A full
-run takes a few minutes single core; pass --threads to spread rollouts.
+run takes a few minutes on one core.
 """
 
 import argparse
@@ -13,7 +13,6 @@ from canrl.harness import (
     RunConfig,
     cascade_actor,
     evaluate_policy,
-    load_base,
     load_cascade,
     run_train_attribute,
     run_train_base,
@@ -34,7 +33,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="runs/point_suite")
     ap.add_argument("--episodes", type=int, default=50)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -45,7 +43,7 @@ def main():
     base_path = out / "base.json"
     run_train_base(
         load_stock_task("point_reach"), base_path,
-        RunConfig(seed=0, max_iterations=500, n_workers=args.threads), emit,
+        RunConfig(seed=0, max_iterations=500), emit,
     )
 
     report = {}
@@ -54,7 +52,7 @@ def main():
         mod_path = out / f"{task_name.removeprefix('point_')}.json"
         run_train_attribute(
             base_path, loaded, mod_path,
-            RunConfig(seed=seed, max_iterations=budget, n_workers=args.threads,
+            RunConfig(seed=seed, max_iterations=budget,
                       stop_at_terminal=not past_terminal),
             emit,
         )

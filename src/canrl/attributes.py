@@ -9,8 +9,8 @@ push.  Total task reward is the plain sum of the per-attribute rewards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .dynamics import (
     arm_integrate,
     arm_jacobian,
     arm_points,
-    end_effector,
     point_integrate,
     point_segment_distance,
     reference_point,
@@ -204,15 +203,14 @@ def speed_reward(world: WorldState, profile: SpeedLimitProfile) -> float:
 
 @dataclass
 class AttributeSpec:
-    """One attribute: id, minimal state view, reward, activity predicate,
-    and an optional action-space dynamics hook."""
+    """One attribute: id, minimal state view, reward, and an optional
+    action-space dynamics hook."""
 
     id: int
     kind: str
     state_dim: int
     extract: Callable[[WorldState], np.ndarray]
     reward: Callable[[WorldState, np.ndarray], float]
-    is_active: Callable[[WorldState], bool]
     dynamics_effect: Callable[[WorldState, np.ndarray], np.ndarray] | None = None
     entity_index: int = 0
 
@@ -254,7 +252,7 @@ def make_attribute(
         def reward(world: WorldState, action: np.ndarray) -> float:
             return reaching_reward(world, cfg)
 
-        return AttributeSpec(attr_id, kind, dim, extract, reward, lambda w: True)
+        return AttributeSpec(attr_id, kind, dim, extract, reward)
 
     if kind == "obstacle":
         def extract(world: WorldState) -> np.ndarray:
@@ -267,13 +265,7 @@ def make_attribute(
         def reward(world: WorldState, action: np.ndarray) -> float:
             return obstacle_reward(world, cfg, _get_obstacle(world, entity_index))
 
-        def active(world: WorldState) -> bool:
-            obs = _get_obstacle(world, entity_index)
-            return obstacle_clearance(world, cfg, obs) < 2.0 * obs.radius
-
-        return AttributeSpec(
-            attr_id, kind, dim, extract, reward, active, entity_index=entity_index
-        )
+        return AttributeSpec(attr_id, kind, dim, extract, reward, entity_index=entity_index)
 
     if kind == "door":
         def extract(world: WorldState) -> np.ndarray:
@@ -291,10 +283,7 @@ def make_attribute(
                 raise TaskConfigError("reward needs a door, world has none")
             return door_reward(world, cfg, world.door)
 
-        def active(world: WorldState) -> bool:
-            return world.door is not None and not world.door.is_open(world.time)
-
-        return AttributeSpec(attr_id, kind, dim, extract, reward, active)
+        return AttributeSpec(attr_id, kind, dim, extract, reward)
 
     if kind == "speed":
         def extract(world: WorldState) -> np.ndarray:
@@ -308,7 +297,7 @@ def make_attribute(
                 raise TaskConfigError("reward needs a speed profile, world has none")
             return speed_reward(world, world.speed_profile)
 
-        return AttributeSpec(attr_id, kind, dim, extract, reward, lambda w: True)
+        return AttributeSpec(attr_id, kind, dim, extract, reward)
 
     # force
     def extract(world: WorldState) -> np.ndarray:
@@ -329,9 +318,7 @@ def make_attribute(
         jac = arm_jacobian(world.robot, cfg)
         return action + jac.T @ push
 
-    return AttributeSpec(
-        attr_id, kind, dim, extract, reward, lambda w: True, dynamics_effect=effect
-    )
+    return AttributeSpec(attr_id, kind, dim, extract, reward, dynamics_effect=effect)
 
 
 # ---------------------------------------------------------------------------
@@ -597,3 +584,30 @@ def step_task(
 
     done = rewards[0] == 1.0 or nxt.step_index >= cfg.horizon
     return nxt, rewards, done, events
+
+
+class EpisodeStep(NamedTuple):
+    world: WorldState  # the world the action was chosen in
+    action: np.ndarray
+    record: Any  # whatever the actor returned beside the action
+    next_world: WorldState
+    rewards: list[float]
+    done: bool
+    events: list[str]
+
+
+def run_episode(
+    task: Task, act: Callable, level: float, rng: np.random.Generator, mode: str = "cl"
+) -> Iterator[EpisodeStep]:
+    """Reset, then act and step until done, yielding every step.
+
+    `act(world, rng) -> (action, record)` is the one actor contract; the
+    episode draws all its randomness, reset and actor alike, from `rng`.
+    """
+    world = reset(task, level, rng, mode)
+    done = False
+    while not done:
+        action, record = act(world, rng)
+        nxt, rewards, done, events = step_task(task, world, action)
+        yield EpisodeStep(world, action, record, nxt, rewards, done, events)
+        world = nxt

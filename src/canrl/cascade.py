@@ -16,7 +16,7 @@ import numpy as np
 
 from .attributes import AttributeSpec, make_attribute
 from .dynamics import SimConfig, WorldState, action_dim, action_limits
-from .errors import DimensionError, TaskConfigError
+from .errors import TaskConfigError
 from .nets import DenseNet, GaussianPolicy
 
 DEFAULT_PENALTY_COEFF = 0.01
@@ -65,58 +65,23 @@ class CascadePolicy:
 
 @dataclass
 class CascadeStepRecord:
-    """Everything observed while producing one cascade action."""
+    """Everything observed while producing one cascade action.
+
+    `log_prob` is the log-prob of the exploring head's sample, or None
+    when every head ran at its mean.
+    """
 
     base_view: np.ndarray
     base_action: np.ndarray
-    base_log_prob: float
     views: list[np.ndarray] = field(default_factory=list)
     comp_inputs: list[np.ndarray] = field(default_factory=list)
     comp_actions: list[np.ndarray] = field(default_factory=list)
-    comp_log_probs: list[float] = field(default_factory=list)
     stack_actions: list[np.ndarray] = field(default_factory=list)
+    log_prob: float | None = None
 
     @property
     def final_action(self) -> np.ndarray:
         return self.stack_actions[-1] if self.stack_actions else self.base_action
-
-
-def base_act(
-    base: BaseModule,
-    view: np.ndarray,
-    rng: np.random.Generator | None = None,
-    stochastic: bool = True,
-) -> tuple[np.ndarray, float]:
-    if stochastic:
-        if rng is None:
-            raise ValueError("stochastic action needs an rng")
-        return base.policy.sample(view, rng)
-    mean = base.policy.mean(view)
-    return mean, base.policy.log_prob(view, mean)
-
-
-def compensate(
-    module: AttributeModule,
-    view: np.ndarray,
-    incoming_action: np.ndarray,
-    rng: np.random.Generator | None = None,
-    stochastic: bool = True,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Returns (comp input, compensation action, its log prob)."""
-    comp_in = np.concatenate([view, incoming_action])
-    if comp_in.shape[0] != module.comp_policy.state_dim:
-        raise DimensionError(
-            f"module expects input ({module.comp_policy.state_dim},), "
-            f"got ({comp_in.shape[0]},)"
-        )
-    if stochastic:
-        if rng is None:
-            raise ValueError("stochastic action needs an rng")
-        action, lp = module.comp_policy.sample(comp_in, rng)
-    else:
-        action = module.comp_policy.mean(comp_in)
-        lp = module.comp_policy.log_prob(comp_in, action)
-    return comp_in, action, lp
 
 
 def combine(
@@ -143,24 +108,38 @@ def cascade_act(
     cascade: CascadePolicy,
     world: WorldState,
     rng: np.random.Generator | None = None,
-    stochastic: bool = True,
+    explore: int | None = None,
 ) -> tuple[np.ndarray, CascadeStepRecord]:
-    """Run the whole stack once.  With no modules this is exactly base_act."""
+    """Run the whole stack once, every net once.
+
+    Heads act at their mean, except head `explore` (0 is the base, i the
+    i-th module), which samples from its Gaussian with `rng`.
+    """
+    if explore is not None and rng is None:
+        raise ValueError("an exploring head needs an rng")
     base_view = cascade.base_spec.extract(world)
-    a, lp = base_act(cascade.base, base_view, rng, stochastic)
-    rec = CascadeStepRecord(base_view, a, lp)
+    current, log_prob = _head(cascade.base.policy, base_view, rng, explore == 0)
+    rec = CascadeStepRecord(base_view, current, log_prob=log_prob)
     limits = action_limits(cascade.robot, cascade.cfg)
-    current = a
-    for module, spec in zip(cascade.modules, cascade.module_specs):
+    for i, (module, spec) in enumerate(zip(cascade.modules, cascade.module_specs), 1):
         view = spec.extract(world)
-        comp_in, comp, clp = compensate(module, view, current, rng, stochastic)
+        comp_in = np.concatenate([view, current])
+        comp, log_prob = _head(module.comp_policy, comp_in, rng, explore == i)
+        if log_prob is not None:
+            rec.log_prob = log_prob
         current = combine(current, comp, module.weight, limits)
         rec.views.append(view)
         rec.comp_inputs.append(comp_in)
         rec.comp_actions.append(comp)
-        rec.comp_log_probs.append(clp)
         rec.stack_actions.append(current)
     return current, rec
+
+
+def _head(
+    policy: GaussianPolicy, x: np.ndarray, rng: np.random.Generator | None, explores: bool
+) -> tuple[np.ndarray, float | None]:
+    """A sample and its log-prob when exploring, else the mean alone."""
+    return policy.sample(x, rng) if explores else (policy.mean(x), None)
 
 
 def make_cascade(

@@ -19,11 +19,12 @@ import os
 import sys
 from pathlib import Path
 
+from .cascade import make_cascade
 from .errors import DivergenceError, InfeasibleTaskError, TaskConfigError
 from .harness import (
     RunConfig,
-    base_actor,
     cascade_actor,
+    cascade_for_task,
     evaluate_policy,
     load_base,
     load_cascade,
@@ -35,7 +36,14 @@ from .harness import (
     write_json,
 )
 from .ppo import PPOConfig
-from .taskio import STOCK_TASK_NAMES, LoadedTask, load_stock_task, load_task
+from .taskio import (
+    STOCK_TASK_NAMES,
+    LoadedTask,
+    arm_sim_config,
+    load_stock_task,
+    load_task,
+    point_sim_config,
+)
 
 
 def _emit(line: str) -> None:
@@ -53,7 +61,6 @@ def _run_config(args, default_budget: int) -> RunConfig:
     return RunConfig(
         seed=args.seed,
         max_iterations=budget,
-        n_workers=args.threads,
         stop_at_terminal=not getattr(args, "train_past_terminal", False),
         ppo=PPOConfig(),
     )
@@ -61,7 +68,6 @@ def _run_config(args, default_budget: int) -> RunConfig:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
 
@@ -181,22 +187,10 @@ def _cmd_assemble(args) -> int:
         "modules": entries,
     }
     if args.task is not None:
-        loaded = _resolve_task(args.task)
-        cfg = loaded.task.cfg
-        n_obstacles = sum(1 for a in loaded.task.addon_setups if a.kind == "obstacle")
-        for i, m in enumerate(modules):
-            if m.kind == "obstacle" and m.entity_index >= n_obstacles:
-                raise TaskConfigError(
-                    f"module {i} bound to obstacle {m.entity_index}, "
-                    f"task defines {n_obstacles}"
-                )
+        cascade_for_task(base, modules, _resolve_task(args.task).task)
     else:
-        from .taskio import arm_sim_config, point_sim_config
-
         cfg = point_sim_config() if base.robot == "point" else arm_sim_config()
-    from .cascade import make_cascade
-
-    make_cascade(base, modules, cfg)  # width and robot checks
+        make_cascade(base, modules, cfg)  # width and robot checks
     write_cascade_descriptor(out, descriptor["base_checkpoint"], descriptor["modules"])
     _emit(f"assembled {len(modules)} module(s) -> {out}")
     return 0
@@ -206,12 +200,10 @@ def _cmd_eval(args) -> int:
     loaded = _resolve_task(args.task)
     if args.descriptor is not None:
         cascade = load_cascade(args.descriptor, loaded.task)
-        act = cascade_actor(cascade)
     else:
-        base = load_base(args.base)
-        act = base_actor(base, loaded.task)
+        cascade = cascade_for_task(load_base(args.base), [], loaded.task)
     report = evaluate_policy(
-        act,
+        cascade_actor(cascade),
         loaded.task,
         episodes=args.episodes,
         seed=args.seed,

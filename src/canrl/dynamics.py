@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionError, SimulationFault
+from .errors import SimulationFault
 
 if TYPE_CHECKING:
     from .attributes import DisturbanceForce, DoorSchedule, ObstacleParams, SpeedLimitProfile
@@ -123,18 +123,6 @@ def point_integrate(
     return PointRobotState(x, v)
 
 
-def point_step(
-    state: PointRobotState, force: np.ndarray, cfg: SimConfig
-) -> PointRobotState:
-    force = np.asarray(force, dtype=np.float64)
-    if force.shape != (POINT_ACTION_DIM,):
-        raise DimensionError(f"expected force (2,), got {force.shape}")
-    if not np.all(np.isfinite(force)):
-        raise SimulationFault(f"non-finite force {force!r}")
-    force = np.clip(force, -cfg.force_limit, cfg.force_limit)
-    return point_integrate(state, force, cfg)
-
-
 def arm_integrate(
     state: ArticulatedRobotState, generalized: np.ndarray, cfg: SimConfig
 ) -> ArticulatedRobotState:
@@ -154,18 +142,6 @@ def arm_integrate(
     if not (np.all(np.isfinite(angles)) and np.all(np.isfinite(jv))):
         raise SimulationFault("arm state diverged")
     return ArticulatedRobotState(float(bx), float(bs), angles, jv)
-
-
-def arm_step(
-    state: ArticulatedRobotState, action: np.ndarray, cfg: SimConfig
-) -> ArticulatedRobotState:
-    action = np.asarray(action, dtype=np.float64)
-    if action.shape != (ARM_ACTION_DIM,):
-        raise DimensionError(f"expected action (5,), got {action.shape}")
-    if not np.all(np.isfinite(action)):
-        raise SimulationFault(f"non-finite action {action!r}")
-    clipped = np.clip(action, -action_limits("arm", cfg), action_limits("arm", cfg))
-    return arm_integrate(state, clipped, cfg)
 
 
 def arm_points(state: ArticulatedRobotState, cfg: SimConfig) -> np.ndarray:

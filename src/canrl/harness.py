@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .attributes import Task, obstacle_clearance, reset, step_task
+from .attributes import Task, obstacle_clearance, run_episode
 from .cascade import (
     AttributeModule,
     BaseModule,
@@ -162,7 +162,7 @@ def _robot_record(world) -> dict:
 
 
 def evaluate_policy(
-    act_fn: Callable[[object, np.random.Generator], np.ndarray],
+    act: Callable,
     task: Task,
     episodes: int,
     seed: int,
@@ -170,12 +170,17 @@ def evaluate_policy(
     mode: str = "cl",
     trajectory_path: str | Path | None = None,
 ) -> dict:
-    """Roll deterministic episodes and tally outcomes.
+    """Roll episodes with `act(world, rng) -> (action, record)` and tally
+    outcomes.
 
     An episode succeeds when the target is reached and no penalty event
     fired along the way.  Episode k draws from the eval stream at index
     k, so reports are reproducible and independent of each other.
     """
+    if episodes < 1:
+        raise TaskConfigError(f"need at least 1 episode, got {episodes}")
+    if not 0.0 <= level <= 1.0:
+        raise TaskConfigError(f"level must be in [0, 1], got {level}")
     reached = 0
     successes = 0
     lengths = []
@@ -188,18 +193,14 @@ def evaluate_policy(
     try:
         for k in range(episodes):
             rng = episode_rng(seed, EVAL_STREAM, k)
-            world = reset(task, level, rng, mode)
-            done = False
             clean = True
             got_there = False
             total = 0.0
             steps = 0
-            while not done:
-                action = act_fn(world, rng)
-                world, rewards, done, events = step_task(task, world, action)
-                total += float(sum(rewards))
+            for step in run_episode(task, act, level, rng, mode):
+                total += float(sum(step.rewards))
                 steps += 1
-                for ev in events:
+                for ev in step.events:
                     if ev == "reached_target":
                         got_there = True
                     elif _violation(ev):
@@ -208,12 +209,12 @@ def evaluate_policy(
                 if sink is not None:
                     rec = {
                         "episode": k,
-                        "t": world.time,
-                        "robot": _robot_record(world),
-                        "action": [float(v) for v in np.asarray(action)],
-                        "rewards": [float(r) for r in rewards],
-                        "total_reward": float(sum(rewards)),
-                        "events": list(events),
+                        "t": step.next_world.time,
+                        "robot": _robot_record(step.next_world),
+                        "action": [float(v) for v in np.asarray(step.action)],
+                        "rewards": [float(r) for r in step.rewards],
+                        "total_reward": float(sum(step.rewards)),
+                        "events": list(step.events),
                     }
                     sink.write(json.dumps(rec, sort_keys=True) + "\n")
             reached += int(got_there)
@@ -236,22 +237,12 @@ def evaluate_policy(
 
 
 def cascade_actor(cascade: CascadePolicy) -> Callable:
-    def act(world, rng):
-        action, _ = cascade_act(cascade, world, rng, stochastic=False)
-        return action
-
-    return act
+    """The stack at its mean actions, as an episode actor."""
+    return lambda world, rng: cascade_act(cascade, world)
 
 
 def base_actor(base: BaseModule, task: Task) -> Callable:
-    from .cascade import base_act
-
-    def act(world, rng):
-        view = task.base.extract(world)
-        action, _ = base_act(base, view, rng, stochastic=False)
-        return action
-
-    return act
+    return cascade_actor(cascade_for_task(base, [], task))
 
 
 def compensation_profile(
@@ -273,25 +264,23 @@ def compensation_profile(
     contact = (
         task.cfg.robot_radius if task.robot == "point" else task.cfg.link_radius
     )
+    act = cascade_actor(cascade)
     base_norms = []
     comp_norms = []
     total_steps = 0
     for k in range(episodes):
         rng = episode_rng(seed, EVAL_STREAM, k)
-        world = reset(task, level, rng, mode="cl")
-        done = False
-        while not done:
-            action, rec = cascade_act(cascade, world, rng, stochastic=False)
+        for step in run_episode(task, act, level, rng):
             total_steps += 1
+            world = step.world
             far = all(
                 obstacle_clearance(world, task.cfg, obs)
                 > clearance_factor * (obs.radius + contact)
                 for obs in world.obstacles
             )
             if far and world.obstacles:
-                base_norms.append(float(np.linalg.norm(rec.base_action)))
-                comp_norms.append(float(np.linalg.norm(rec.comp_actions[-1])))
-            world, _, done, _ = step_task(task, world, action)
+                base_norms.append(float(np.linalg.norm(step.record.base_action)))
+                comp_norms.append(float(np.linalg.norm(step.record.comp_actions[-1])))
     if not base_norms:
         raise TaskConfigError("no far-from-obstacle steps observed")
     mean_base = float(np.mean(base_norms))
@@ -322,6 +311,26 @@ def write_cascade_descriptor(
     return write_json(path, payload)
 
 
+def cascade_for_task(
+    base: BaseModule, modules: list[AttributeModule], task: Task
+) -> CascadePolicy:
+    """Build a stack that can act in `task`: the base must drive the task's
+    robot and every obstacle binding must exist, on top of the width
+    checks of `make_cascade`."""
+    if base.robot != task.robot:
+        raise TaskConfigError(
+            f"base checkpoint drives {base.robot!r}, task uses {task.robot!r}"
+        )
+    n_obstacles = sum(1 for a in task.addon_setups if a.kind == "obstacle")
+    for i, m in enumerate(modules):
+        if m.kind == "obstacle" and m.entity_index >= n_obstacles:
+            raise TaskConfigError(
+                f"module {i} bound to obstacle {m.entity_index}, "
+                f"task defines {n_obstacles}"
+            )
+    return make_cascade(base, modules, task.cfg)
+
+
 def load_cascade(descriptor_path: str | Path, task: Task) -> CascadePolicy:
     """Rebuild a stack from a descriptor; paths resolve next to the file."""
     descriptor_path = Path(descriptor_path)
@@ -330,20 +339,13 @@ def load_cascade(descriptor_path: str | Path, task: Task) -> CascadePolicy:
         raise TaskConfigError(f"not a cascade descriptor: kind={d.get('kind')!r}")
     root = descriptor_path.parent
     base = load_base(root / d["base_checkpoint"])
-    n_obstacles = sum(1 for a in task.addon_setups if a.kind == "obstacle")
     modules = []
-    for i, entry in enumerate(d.get("modules", [])):
-        binding = int(entry.get("entity_binding", 0))
-        module = load_module(root / entry["checkpoint"], binding)
-        if module.kind == "obstacle" and binding >= n_obstacles:
-            raise TaskConfigError(
-                f"module {i} bound to obstacle {binding}, "
-                f"task defines {n_obstacles}"
-            )
+    for entry in d.get("modules", []):
+        module = load_module(root / entry["checkpoint"], int(entry.get("entity_binding", 0)))
         if "weight" in entry:
             module.weight = float(entry["weight"])
         modules.append(module)
-    return make_cascade(base, modules, task.cfg)
+    return cascade_for_task(base, modules, task)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +355,6 @@ def load_cascade(descriptor_path: str | Path, task: Task) -> CascadePolicy:
 class RunConfig:
     seed: int = 0
     max_iterations: int = 500
-    n_workers: int = 1
     # keep training after the curriculum tops out; the extra iterations
     # polish the policy at full spread instead of stopping at first touch
     stop_at_terminal: bool = True
@@ -389,7 +390,6 @@ def run_train_base(
         loaded.curriculum,
         seed=run.seed,
         max_iterations=run.max_iterations,
-        n_workers=run.n_workers,
         progress=_progress_printer("base", emit),
         stop_at_terminal=run.stop_at_terminal,
     )
@@ -413,7 +413,6 @@ def run_train_attribute(
         loaded.curriculum,
         seed=run.seed,
         max_iterations=run.max_iterations,
-        n_workers=run.n_workers,
         progress=_progress_printer("attr", emit),
         stop_at_terminal=run.stop_at_terminal,
     )
@@ -460,8 +459,7 @@ def run_compare(
                     base, loaded.task, run.ppo,
                     _arm_curriculum(loaded.curriculum, "cl"),
                     seed=run.seed, max_iterations=run.max_iterations,
-                    n_workers=run.n_workers,
-                    progress=_progress_printer(arm, emit),
+                                progress=_progress_printer(arm, emit),
                 )
             else:
                 mode = "cl" if arm == "scratch_cl" else "rcl"
@@ -469,8 +467,7 @@ def run_compare(
                     loaded.task, run.ppo,
                     _arm_curriculum(loaded.curriculum, mode),
                     seed=run.seed, max_iterations=run.max_iterations,
-                    n_workers=run.n_workers,
-                    progress=_progress_printer(arm, emit),
+                                progress=_progress_printer(arm, emit),
                 )
         except Exception as exc:  # noqa: BLE001 - a diverging arm is a result
             summary["arms"][arm] = {"error": f"{type(exc).__name__}: {exc}"}

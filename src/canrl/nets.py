@@ -10,7 +10,7 @@ be read concurrently while an update is being prepared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,9 +201,11 @@ class GaussianPolicy:
     def sample(
         self, state: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, float]:
+        """Draw an action; its log-prob reuses the mean, so the net runs once."""
         mean = self.mean(state)
-        action = mean + self.std() * rng.standard_normal(self.action_dim)
-        return action, self.log_prob(state, action)
+        std = self.std()
+        action = mean + std * rng.standard_normal(self.action_dim)
+        return action, float(gaussian_log_prob(mean, std, action))
 
     def log_prob(self, state: np.ndarray, action: np.ndarray) -> float:
         action = np.asarray(action, dtype=np.float64)

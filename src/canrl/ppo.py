@@ -4,32 +4,27 @@ one attribute module at a time on top of a frozen stack, and flat
 from-scratch baselines over the concatenated view.
 
 Episodes draw their randomness from a stream keyed by (seed, stream id,
-episode index), so a rollout's content does not depend on how many
-workers collected it.
+episode index), so each episode can be replayed on its own.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .attributes import Task, full_view, full_view_dim, reset, step_task
+from .attributes import Task, full_view, full_view_dim, run_episode
 from .cascade import (
     AttributeModule,
     BaseModule,
     CascadePolicy,
-    base_act,
-    compensate,
-    combine,
+    cascade_act,
     compensation_penalty,
     make_cascade,
     weight_schedule,
 )
-from .dynamics import action_limits
 from .curriculum import (
     CurriculumConfig,
     CurriculumState,
@@ -74,14 +69,12 @@ class PPOConfig:
     max_episodes: int = 10_000
     init_std: float = 0.5
     weight_ramp_fraction: float = 0.3
-    checkpoint_every: int = 0  # iterations; 0 disables
 
 
 @dataclass
 class Transition:
     policy_input: np.ndarray
     action: np.ndarray  # the trainable head's sample
-    env_action: np.ndarray
     log_prob: float
     critic_input: np.ndarray
     reward: float = 0.0
@@ -110,13 +103,13 @@ class Rollout:
 
 
 class Actor:
-    """Something that maps a world to a Transition; exposes the trainable
-    policy/critic pair."""
+    """Acts with `act(world, rng) -> (env action, Transition)`, sampling
+    from its trainable head; exposes the trainable policy/critic pair."""
 
     policy: GaussianPolicy
     value_net: DenseNet
 
-    def act(self, world, rng, stochastic: bool = True) -> Transition:
+    def act(self, world, rng) -> tuple[np.ndarray, Transition]:
         raise NotImplementedError
 
 
@@ -128,14 +121,10 @@ class FlatActor(Actor):
         self.value_net = value_net
         self.view_fn = view_fn
 
-    def act(self, world, rng, stochastic=True) -> Transition:
+    def act(self, world, rng) -> tuple[np.ndarray, Transition]:
         view = self.view_fn(world)
-        if stochastic:
-            a, lp = self.policy.sample(view, rng)
-        else:
-            a = self.policy.mean(view)
-            lp = self.policy.log_prob(view, a)
-        return Transition(view, a, a, lp, view)
+        a, lp = self.policy.sample(view, rng)
+        return a, Transition(view, a, lp, view)
 
 
 class CascadeTailActor(Actor):
@@ -153,40 +142,13 @@ class CascadeTailActor(Actor):
         self.policy = self.module.comp_policy
         self.value_net = self.module.value_net
 
-    def act(self, world, rng, stochastic=True) -> Transition:
-        cascade = self.cascade
-        base_view = cascade.base_spec.extract(world)
-        current, _ = base_act(cascade.base, base_view, None, stochastic=False)
-        limits = action_limits(cascade.robot, cascade.cfg)
-        tail = len(cascade.modules) - 1
-        for i, (module, spec) in enumerate(
-            zip(cascade.modules, cascade.module_specs)
-        ):
-            view = spec.extract(world)
-            comp_in, comp, clp = compensate(
-                module, view, current, rng, stochastic and i == tail
-            )
-            current = combine(current, comp, module.weight, limits)
-        critic_in = np.concatenate([base_view, view])
-        return Transition(comp_in, comp, current, clp, critic_in)
-
-
-def _run_episode(actor: Actor, task: Task, level: float, mode: str, rng, penalty_coeff: float):
-    world = reset(task, level, rng, mode)
-    transitions: list[Transition] = []
-    total = 0.0
-    done = False
-    while not done:
-        tr = actor.act(world, rng, stochastic=True)
-        world, rewards, done, _events = step_task(task, world, tr.env_action)
-        r = float(sum(rewards))
-        if penalty_coeff > 0.0:
-            r += compensation_penalty(tr.action, penalty_coeff)
-        tr.reward = r
-        tr.done = done
-        transitions.append(tr)
-        total += r
-    return transitions, total
+    def act(self, world, rng) -> tuple[np.ndarray, Transition]:
+        tail = len(self.cascade.modules)
+        action, rec = cascade_act(self.cascade, world, rng, explore=tail)
+        critic_in = np.concatenate([rec.base_view, rec.views[-1]])
+        return action, Transition(
+            rec.comp_inputs[-1], rec.comp_actions[-1], rec.log_prob, critic_in
+        )
 
 
 def collect_rollouts(
@@ -198,40 +160,32 @@ def collect_rollouts(
     episode_offset: int = 0,
     mode: str = "cl",
     penalty_coeff: float = 0.0,
-    n_workers: int = 1,
     max_new_episodes: int | None = None,
 ) -> Rollout:
     """Whole episodes until at least n_steps transitions are banked."""
-    episodes: list[tuple[list[Transition], float]] = []
-    steps = 0
-    k = 0
+    trs: list[Transition] = []
+    episode_rewards: list[float] = []
+    episode_lengths: list[int] = []
+    while len(trs) < n_steps and (
+        max_new_episodes is None or len(episode_rewards) < max_new_episodes
+    ):
+        k = episode_offset + len(episode_rewards)
+        rng = episode_rng(seed, TRAIN_STREAM, k)
+        total = 0.0
+        length = 0
+        for step in run_episode(task, actor.act, level, rng, mode):
+            tr = step.record
+            r = float(sum(step.rewards))
+            if penalty_coeff > 0.0:
+                r += compensation_penalty(tr.action, penalty_coeff)
+            tr.reward = r
+            tr.done = step.done
+            trs.append(tr)
+            total += r
+            length += 1
+        episode_rewards.append(total)
+        episode_lengths.append(length)
 
-    def room() -> bool:
-        if max_new_episodes is not None and k >= max_new_episodes:
-            return False
-        return steps < n_steps
-
-    if n_workers <= 1:
-        while room():
-            rng = episode_rng(seed, TRAIN_STREAM, episode_offset + k)
-            ep = _run_episode(actor, task, level, mode, rng, penalty_coeff)
-            episodes.append(ep)
-            steps += len(ep[0])
-            k += 1
-    else:
-        def job(index: int):
-            rng = episode_rng(seed, TRAIN_STREAM, episode_offset + index)
-            return _run_episode(actor, task, level, mode, rng, penalty_coeff)
-
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            while room():
-                wave = list(pool.map(job, range(k, k + n_workers)))
-                for ep in wave:
-                    episodes.append(ep)
-                    steps += len(ep[0])
-                k += n_workers
-
-    trs = [t for ep, _ in episodes for t in ep]
     return Rollout(
         policy_inputs=np.stack([t.policy_input for t in trs]),
         actions=np.stack([t.action for t in trs]),
@@ -239,8 +193,8 @@ def collect_rollouts(
         critic_inputs=np.stack([t.critic_input for t in trs]),
         rewards=np.array([t.reward for t in trs]),
         dones=np.array([float(t.done) for t in trs]),
-        episode_rewards=[total for _, total in episodes],
-        episode_lengths=[len(ep) for ep, _ in episodes],
+        episode_rewards=episode_rewards,
+        episode_lengths=episode_lengths,
     )
 
 
@@ -372,7 +326,6 @@ def _train_loop(
     seed: int,
     max_iterations: int,
     penalty_coeff: float = 0.0,
-    n_workers: int = 1,
     on_iteration: Callable[[int], None] | None = None,
     progress: Callable[[IterationLog], None] | None = None,
     stop_at_terminal: bool = True,
@@ -399,7 +352,6 @@ def _train_loop(
             episode_offset=episodes_used,
             mode=cur_cfg.mode,
             penalty_coeff=penalty_coeff,
-            n_workers=n_workers,
             max_new_episodes=ppo_cfg.max_episodes - episodes_used,
         )
         episodes_used += roll.n_episodes
@@ -469,7 +421,6 @@ def train_base(
     cur_cfg: CurriculumConfig,
     seed: int,
     max_iterations: int,
-    n_workers: int = 1,
     progress: Callable[[IterationLog], None] | None = None,
     stop_at_terminal: bool = True,
 ) -> TrainResult:
@@ -484,7 +435,7 @@ def train_base(
     actor = FlatActor(policy, value, task.base.extract)
     log, cur, itt, eps = _train_loop(
         actor, task, ppo_cfg, cur_cfg, seed, max_iterations,
-        n_workers=n_workers, progress=progress, stop_at_terminal=stop_at_terminal,
+        progress=progress, stop_at_terminal=stop_at_terminal,
     )
     base = BaseModule(task.robot, policy, value, frozen=True)
     return TrainResult(log, cur, itt, eps, base=base, policy=policy)
@@ -497,7 +448,6 @@ def train_attribute(
     cur_cfg: CurriculumConfig,
     seed: int,
     max_iterations: int,
-    n_workers: int = 1,
     progress: Callable[[IterationLog], None] | None = None,
     stop_at_terminal: bool = True,
 ) -> TrainResult:
@@ -538,8 +488,7 @@ def train_attribute(
 
     log, cur, itt, eps = _train_loop(
         actor, task, ppo_cfg, cur_cfg, seed, max_iterations,
-        penalty_coeff=module.penalty_coeff, n_workers=n_workers,
-        on_iteration=set_weight, progress=progress,
+        penalty_coeff=module.penalty_coeff, on_iteration=set_weight, progress=progress,
         stop_at_terminal=stop_at_terminal,
     )
     for now, before in zip(base.policy.parameters(), snapshot):
@@ -554,7 +503,6 @@ def train_flat(
     cur_cfg: CurriculumConfig,
     seed: int,
     max_iterations: int,
-    n_workers: int = 1,
     progress: Callable[[IterationLog], None] | None = None,
     stop_at_terminal: bool = True,
 ) -> TrainResult:
@@ -566,6 +514,6 @@ def train_flat(
     actor = FlatActor(policy, value, lambda w: full_view(task, w))
     log, cur, itt, eps = _train_loop(
         actor, task, ppo_cfg, cur_cfg, seed, max_iterations,
-        n_workers=n_workers, progress=progress, stop_at_terminal=stop_at_terminal,
+        progress=progress, stop_at_terminal=stop_at_terminal,
     )
     return TrainResult(log, cur, itt, eps, policy=policy)

@@ -11,12 +11,10 @@ from canrl.cascade import (
     CascadePolicy,
     attribute_module_from_dict,
     attribute_module_to_dict,
-    base_act,
     base_module_from_dict,
     base_module_to_dict,
     cascade_act,
     combine,
-    compensate,
     compensation_penalty,
     make_cascade,
     weight_schedule,
@@ -65,19 +63,23 @@ class TestActs:
         base = fresh_base()
         cascade = make_cascade(base, [], CFG)
         task, world = obstacle_world()
-        a, rec = cascade_act(cascade, world, stochastic=False)
+        a, rec = cascade_act(cascade, world)
         view = cascade.base_spec.extract(world)
-        a0, lp0 = base_act(base, view, stochastic=False)
-        assert np.array_equal(a, a0)
-        assert rec.base_log_prob == lp0
+        assert np.array_equal(a, base.policy.mean(view))
+        assert rec.log_prob is None
         assert rec.final_action is a or np.array_equal(rec.final_action, a)
+        # exploring the base samples exactly as the bare policy does
+        a, rec = cascade_act(cascade, world, np.random.default_rng(2), explore=0)
+        a0, lp0 = base.policy.sample(view, np.random.default_rng(2))
+        assert np.array_equal(a, a0)
+        assert rec.log_prob == lp0
 
     def test_zero_weight_module_is_transparent(self):
         base = fresh_base()
         module = fresh_module(weight=0.0)
         cascade = make_cascade(base, [module], CFG)
         _, world = obstacle_world()
-        a, rec = cascade_act(cascade, world, stochastic=False)
+        a, rec = cascade_act(cascade, world)
         assert np.array_equal(a, rec.base_action)
 
     def test_module_shifts_action(self):
@@ -88,7 +90,7 @@ class TestActs:
         module.comp_policy.mean_net.biases[-1][:] = 0.3
         cascade = make_cascade(base, [module], CFG)
         _, world = obstacle_world()
-        a, rec = cascade_act(cascade, world, stochastic=False)
+        a, rec = cascade_act(cascade, world)
         assert not np.array_equal(a, rec.base_action)
         assert np.allclose(a, rec.base_action + 0.3, atol=1e-12)
 
@@ -108,7 +110,7 @@ class TestActs:
         base = fresh_base()
         cascade = make_cascade(base, [module], CFG)
         _, world = obstacle_world()
-        a, rec = cascade_act(cascade, world, stochastic=False)
+        a, rec = cascade_act(cascade, world)
         assert np.allclose(a, 1.5 * rec.base_action, atol=1e-12)
 
     def test_two_modules_stack_in_order(self):
@@ -120,24 +122,38 @@ class TestActs:
         cascade = make_cascade(base, [m1, m2], CFG)
         loaded = load_stock_task("point_two_obstacles")
         world = reset(loaded.task, 0.3, np.random.default_rng(3))
-        a, rec = cascade_act(cascade, world, stochastic=False)
+        a, rec = cascade_act(cascade, world)
         assert len(rec.stack_actions) == 2
         assert np.array_equal(a, rec.stack_actions[-1])
         # second module saw the first module's output
         assert np.allclose(rec.comp_inputs[1][-2:], rec.stack_actions[0], atol=1e-15)
 
     def test_stochastic_needs_rng(self):
-        base = fresh_base()
-        with pytest.raises(ValueError):
-            base_act(base, np.zeros(6), rng=None, stochastic=True)
+        cascade = make_cascade(fresh_base(), [fresh_module()], CFG)
+        _, world = obstacle_world()
+        for head in (0, 1):
+            with pytest.raises(ValueError):
+                cascade_act(cascade, world, rng=None, explore=head)
 
     def test_stochastic_reproducible(self):
         base = fresh_base()
         cascade = make_cascade(base, [fresh_module()], CFG)
         _, world = obstacle_world()
-        a1, _ = cascade_act(cascade, world, np.random.default_rng(5), stochastic=True)
-        a2, _ = cascade_act(cascade, world, np.random.default_rng(5), stochastic=True)
-        assert np.array_equal(a1, a2)
+        mean, _ = cascade_act(cascade, world)
+        for head in (0, 1):
+            a1, r1 = cascade_act(cascade, world, np.random.default_rng(5), explore=head)
+            a2, r2 = cascade_act(cascade, world, np.random.default_rng(5), explore=head)
+            assert np.array_equal(a1, a2)
+            assert r1.log_prob == r2.log_prob
+            assert not np.array_equal(a1, mean)
+
+    def test_explored_tail_log_prob_matches_policy(self):
+        module = fresh_module(weight=1.0)
+        cascade = make_cascade(fresh_base(), [module], CFG)
+        _, world = obstacle_world()
+        _, rec = cascade_act(cascade, world, np.random.default_rng(4), explore=1)
+        want = module.comp_policy.log_prob(rec.comp_inputs[0], rec.comp_actions[0])
+        assert rec.log_prob == want
 
 
 class TestCombine:

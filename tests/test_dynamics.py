@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from canrl.attributes import Nominal, build_task, step_task
 from canrl.dynamics import (
     ArticulatedRobotState,
     PointRobotState,
     SimConfig,
     WorldState,
+    arm_integrate,
     arm_jacobian,
     arm_points,
-    arm_step,
     end_effector,
+    point_integrate,
     point_segment_distance,
-    point_step,
     robot_speed,
     segment_segment_distance,
     wrap_angles,
@@ -27,11 +28,19 @@ from canrl.errors import DimensionError, SimulationFault
 BIG = SimConfig(workspace=50.0)  # walls far away
 
 
+def step_robot(robot, action, cfg):
+    """One `step_task` on a bare reaching task; returns the robot state."""
+    kind = "point" if isinstance(robot, PointRobotState) else "arm"
+    task = build_task(kind, cfg, Nominal(np.zeros(2)), [])
+    world = WorldState(robot, np.array([40.0, 40.0]))  # target out of reach
+    return step_task(task, world, action)[0].robot
+
+
 def drive_point(dt, forces, v0, damping=0.8):
     cfg = SimConfig(dt=dt, damping=damping, workspace=50.0)
     s = PointRobotState(np.zeros(2), np.asarray(v0, dtype=float))
     for f in forces:
-        s = point_step(s, f, cfg)
+        s = point_integrate(s, f, cfg)
     return s
 
 
@@ -39,7 +48,7 @@ def drive_arm(dt, actions, damping=0.8):
     cfg = SimConfig(dt=dt, damping=damping)
     s = ArticulatedRobotState(0.0, 0.0, np.zeros(4), np.zeros(4))
     for a in actions:
-        s = arm_step(s, a, cfg)
+        s = arm_integrate(s, a, cfg)
     return s
 
 
@@ -47,7 +56,7 @@ class TestPointStep:
     def test_coasting_without_damping(self):
         cfg = SimConfig(dt=0.05, damping=0.0, workspace=50.0)
         s = PointRobotState(np.zeros(2), np.array([1.0, 0.0]))
-        s2 = point_step(s, np.zeros(2), cfg)
+        s2 = point_integrate(s, np.zeros(2), cfg)
         assert np.allclose(s2.position, [0.05, 0.0], atol=1e-15)
         assert np.allclose(s2.velocity, [1.0, 0.0], atol=1e-15)
 
@@ -63,15 +72,15 @@ class TestPointStep:
     def test_force_is_clamped_to_limit(self):
         cfg = SimConfig(dt=0.05, damping=0.0, force_limit=1.0, workspace=50.0)
         s = PointRobotState(np.zeros(2), np.zeros(2))
-        a = point_step(s, np.array([10.0, 0.0]), cfg)
-        b = point_step(s, np.array([1.0, 0.0]), cfg)
+        a = step_robot(s, np.array([10.0, 0.0]), cfg)
+        b = step_robot(s, np.array([1.0, 0.0]), cfg)
         assert np.array_equal(a.position, b.position)
         assert np.array_equal(a.velocity, b.velocity)
 
     def test_wall_clamp_zeroes_normal_velocity(self):
         cfg = SimConfig(dt=0.1, damping=0.0, workspace=1.0)
         s = PointRobotState(np.array([0.99, 0.0]), np.array([1.0, 0.3]))
-        s2 = point_step(s, np.zeros(2), cfg)
+        s2 = point_integrate(s, np.zeros(2), cfg)
         assert s2.position[0] == 1.0
         assert s2.velocity[0] == 0.0
         assert s2.velocity[1] == pytest.approx(0.3)
@@ -79,12 +88,12 @@ class TestPointStep:
     def test_nonfinite_force_faults(self):
         s = PointRobotState(np.zeros(2), np.zeros(2))
         with pytest.raises(SimulationFault):
-            point_step(s, np.array([np.nan, 0.0]), BIG)
+            step_robot(s, np.array([np.nan, 0.0]), BIG)
 
     def test_wrong_shape_raises(self):
         s = PointRobotState(np.zeros(2), np.zeros(2))
         with pytest.raises(DimensionError):
-            point_step(s, np.zeros(3), BIG)
+            step_robot(s, np.zeros(3), BIG)
 
     @given(
         st.floats(-1, 1), st.floats(-1, 1),
@@ -96,7 +105,7 @@ class TestPointStep:
         s = PointRobotState(np.zeros(2), np.array([vx, vy]))
         speed = np.linalg.norm(s.velocity)
         for _ in range(40):
-            s = point_step(s, np.zeros(2), cfg)
+            s = point_integrate(s, np.zeros(2), cfg)
             now = np.linalg.norm(s.velocity)
             assert now <= speed + 1e-12
             speed = now
@@ -110,7 +119,7 @@ class TestPointStep:
             rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
         )
         for _ in range(50):
-            s = point_step(s, rng.uniform(-1, 1, 2), cfg)
+            s = point_integrate(s, rng.uniform(-1, 1, 2), cfg)
             assert np.all(np.abs(s.position) <= 1.0 + 1e-12)
 
 
@@ -118,7 +127,7 @@ class TestArmStep:
     def test_single_joint_torque_kick(self):
         cfg = SimConfig(dt=0.01, damping=0.0, joint_inertia=1.0)
         s = ArticulatedRobotState(0.0, 0.0, np.zeros(4), np.zeros(4))
-        s2 = arm_step(s, np.array([1.0, 0, 0, 0, 0]), cfg)
+        s2 = arm_integrate(s, np.array([1.0, 0, 0, 0, 0]), cfg)
         assert s2.joint_velocities[0] == pytest.approx(0.01, abs=1e-15)
         assert s2.joint_angles[0] == pytest.approx(1e-4, abs=1e-15)
         assert np.all(s2.joint_angles[1:] == 0)
@@ -138,21 +147,23 @@ class TestArmStep:
         s = ArticulatedRobotState(
             0.0, 0.0, np.array([math.pi - 0.01, 0, 0, 0]), np.array([2.0, 0, 0, 0])
         )
-        s2 = arm_step(s, np.zeros(5), cfg)
+        s2 = arm_integrate(s, np.zeros(5), cfg)
         assert -math.pi < s2.joint_angles[0] <= math.pi
         assert s2.joint_angles[0] < 0  # passed the seam
 
     def test_base_clamped_at_rail_end(self):
         cfg = SimConfig(dt=0.1, damping=0.0, workspace=1.0)
         s = ArticulatedRobotState(0.99, 1.0, np.zeros(4), np.zeros(4))
-        s2 = arm_step(s, np.zeros(5), cfg)
+        s2 = arm_integrate(s, np.zeros(5), cfg)
         assert s2.base_x == 1.0
         assert s2.base_speed == 0.0
 
     def test_nonfinite_action_faults(self):
         s = ArticulatedRobotState(0.0, 0.0, np.zeros(4), np.zeros(4))
         with pytest.raises(SimulationFault):
-            arm_step(s, np.array([np.inf, 0, 0, 0, 0]), BIG)
+            step_robot(s, np.array([np.nan, 0, 0, 0, 0]), BIG)
+        with pytest.raises(SimulationFault):
+            arm_integrate(s, np.array([np.inf, 0, 0, 0, 0]), BIG)
 
 
 def fk_oracle(base_x, angles, lengths):

@@ -29,12 +29,13 @@ from canrl.taskio import load_stock_task
 
 
 def servo(world, rng):
-    return np.clip(
+    action = np.clip(
         2.5 * (world.target_position - world.robot.position)
         - 1.2 * world.robot.velocity,
         -1.0,
         1.0,
     )
+    return action, None
 
 
 def pinned_base(out=(0.3, 0.0)):
@@ -321,6 +322,44 @@ class TestCli:
         ) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["episodes"] == 2
+
+    def test_eval_base_for_other_robot_exits_2(self, tmp_path):
+        save_base(tmp_path / "b.json", pinned_base())
+        rc = cli.main(
+            ["eval", "--task", "arm_reach", "--base", str(tmp_path / "b.json"),
+             "--episodes", "1"]
+        )
+        assert rc == 2
+
+    def test_eval_stack_for_other_robot_exits_2(self, tmp_path):
+        rng = np.random.default_rng(0)
+        arm_base = BaseModule(
+            "arm",
+            GaussianPolicy.create(12, 5, rng),
+            DenseNet.create([12, 8, 1], rng),
+            frozen=True,
+        )
+        save_base(tmp_path / "b.json", arm_base)
+        stack = tmp_path / "stack.json"
+        assert cli.main(
+            ["assemble", "--base", str(tmp_path / "b.json"), "--out", str(stack)]
+        ) == 0
+        rc = cli.main(
+            ["eval", "--task", "point_reach", "--descriptor", str(stack),
+             "--episodes", "1"]
+        )
+        assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--episodes", "0"), ("--level", "1.5"), ("--level", "-0.1")]
+    )
+    def test_eval_out_of_range_exits_2(self, tmp_path, flag, value):
+        save_base(tmp_path / "b.json", pinned_base())
+        rc = cli.main(
+            ["eval", "--task", "point_reach", "--base", str(tmp_path / "b.json"),
+             flag, value]
+        )
+        assert rc == 2
 
     def test_assemble_rejects_unbound_entity(self, tmp_path):
         base = tmp_path / "b.json"
