@@ -33,7 +33,7 @@ from .dynamics import (
     segment_segment_distance,
     wrap_angles,
 )
-from .errors import DimensionError, InfeasibleTaskError, TaskConfigError
+from .errors import DimensionError, InfeasibleTaskError, SimulationFault, TaskConfigError
 
 OBSTACLE_PENALTY = -0.3
 DOOR_PENALTY = -0.01
@@ -47,6 +47,8 @@ ARM_TARGET_Y = (0.15, 0.85)
 MAX_RESET_TRIES = 1000
 OBSTACLE_SPAWN_MARGIN = 0.1
 SPAWN_MARGIN = 0.02
+# the door view reports waits up to this long, and this when none is left
+DOOR_WAIT_CAP = 10.0
 
 
 @dataclass
@@ -66,11 +68,11 @@ class DoorSchedule:
     def is_open(self, t: float) -> bool:
         return any(s <= t < e for s, e in self.open_intervals)
 
-    def time_to_next_open(self, t: float, cap: float = 10.0) -> float:
+    def time_to_next_open(self, t: float) -> float:
         if self.is_open(t):
             return 0.0
         waits = [s - t for s, _ in self.open_intervals if s > t]
-        return min(min(waits), cap) if waits else cap
+        return min(min(waits), DOOR_WAIT_CAP) if waits else DOOR_WAIT_CAP
 
 
 def periodic_door_schedule(
@@ -545,6 +547,8 @@ def step_task(
         raise DimensionError(
             f"expected action ({task.action_dim},), got {action.shape}"
         )
+    if not np.all(np.isfinite(action)):
+        raise SimulationFault(f"non-finite action {action!r}")
     limits = action_limits(task.robot, cfg)
     commanded = np.clip(action, -limits, limits)
 

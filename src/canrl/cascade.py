@@ -79,10 +79,6 @@ class CascadeStepRecord:
     stack_actions: list[np.ndarray] = field(default_factory=list)
     log_prob: float | None = None
 
-    @property
-    def final_action(self) -> np.ndarray:
-        return self.stack_actions[-1] if self.stack_actions else self.base_action
-
 
 def combine(
     incoming: np.ndarray, compensation: np.ndarray, weight: float, limits: np.ndarray
@@ -91,12 +87,13 @@ def combine(
     return np.clip(incoming + weight * compensation, -limits, limits)
 
 
-def weight_schedule(iteration: int, ramp_iterations: int, start: float = INITIAL_MODULE_WEIGHT) -> float:
-    """Linear ramp from `start` to 1 over the first `ramp_iterations`."""
+def weight_schedule(iteration: int, ramp_iterations: int) -> float:
+    """Linear ramp from INITIAL_MODULE_WEIGHT to 1 over the first
+    `ramp_iterations`."""
     if ramp_iterations <= 0:
         return 1.0
     frac = min(max(iteration, 0) / ramp_iterations, 1.0)
-    return start + (1.0 - start) * frac
+    return INITIAL_MODULE_WEIGHT + (1.0 - INITIAL_MODULE_WEIGHT) * frac
 
 
 def compensation_penalty(comp_action: np.ndarray, coeff: float) -> float:

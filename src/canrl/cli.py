@@ -35,7 +35,6 @@ from .harness import (
     write_cascade_descriptor,
     write_json,
 )
-from .ppo import PPOConfig
 from .taskio import (
     STOCK_TASK_NAMES,
     LoadedTask,
@@ -62,7 +61,6 @@ def _run_config(args, default_budget: int) -> RunConfig:
         seed=args.seed,
         max_iterations=budget,
         stop_at_terminal=not getattr(args, "train_past_terminal", False),
-        ppo=PPOConfig(),
     )
 
 
@@ -133,16 +131,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_train_base(args) -> int:
-    loaded = _resolve_task(args.task)
-    emit = None if args.quiet else _emit
-    result = run_train_base(loaded, args.out, _run_config(args, 500), emit)
+def _emit_done(command: str, result) -> None:
     tag = (
         f"terminal after {result.iterations_to_terminal} iterations"
         if result.iterations_to_terminal is not None
         else f"stopped at level {result.curriculum.random_level:.4f}"
     )
-    _emit(f"train-base done: {tag}, {result.episodes_used} episodes")
+    _emit(f"{command} done: {tag}, {result.episodes_used} episodes")
+
+
+def _cmd_train_base(args) -> int:
+    loaded = _resolve_task(args.task)
+    emit = None if args.quiet else _emit
+    result = run_train_base(loaded, args.out, _run_config(args, 500), emit)
+    _emit_done("train-base", result)
     return 0
 
 
@@ -152,12 +154,7 @@ def _cmd_train_attr(args) -> int:
     result = run_train_attribute(
         args.base, loaded, args.out, _run_config(args, 300), emit
     )
-    tag = (
-        f"terminal after {result.iterations_to_terminal} iterations"
-        if result.iterations_to_terminal is not None
-        else f"stopped at level {result.curriculum.random_level:.4f}"
-    )
-    _emit(f"train-attr done: {tag}, {result.episodes_used} episodes")
+    _emit_done("train-attr", result)
     return 0
 
 
@@ -182,16 +179,12 @@ def _cmd_assemble(args) -> int:
                 "entity_binding": entity,
             }
         )
-    descriptor = {
-        "base_checkpoint": os.path.relpath(args.base, out.parent or "."),
-        "modules": entries,
-    }
     if args.task is not None:
         cascade_for_task(base, modules, _resolve_task(args.task).task)
     else:
         cfg = point_sim_config() if base.robot == "point" else arm_sim_config()
         make_cascade(base, modules, cfg)  # width and robot checks
-    write_cascade_descriptor(out, descriptor["base_checkpoint"], descriptor["modules"])
+    write_cascade_descriptor(out, os.path.relpath(args.base, out.parent or "."), entries)
     _emit(f"assembled {len(modules)} module(s) -> {out}")
     return 0
 

@@ -42,18 +42,6 @@ from .ppo import (
 )
 from .taskio import LoadedTask
 
-LOG_COLUMNS = (
-    "iteration",
-    "episodes",
-    "random_level",
-    "mean_ep_reward",
-    "policy_loss",
-    "value_loss",
-    "entropy",
-    "kl",
-)
-
-
 # ---------------------------------------------------------------------------
 # writers
 
@@ -92,20 +80,8 @@ def write_csv(path: str | Path, columns, rows) -> Path:
 
 
 def write_training_log(path: str | Path, log: list[IterationLog]) -> Path:
-    rows = [
-        (
-            r.iteration,
-            r.episodes,
-            r.random_level,
-            r.mean_ep_reward,
-            r.policy_loss,
-            r.value_loss,
-            r.entropy,
-            r.kl,
-        )
-        for r in log
-    ]
-    return write_csv(path, LOG_COLUMNS, rows)
+    columns = [f.name for f in dataclasses.fields(IterationLog)]
+    return write_csv(path, columns, map(dataclasses.astuple, log))
 
 
 def log_path_for(out_path: str | Path) -> Path:
@@ -167,7 +143,6 @@ def evaluate_policy(
     episodes: int,
     seed: int,
     level: float = 1.0,
-    mode: str = "cl",
     trajectory_path: str | Path | None = None,
 ) -> dict:
     """Roll episodes with `act(world, rng) -> (action, record)` and tally
@@ -197,7 +172,7 @@ def evaluate_policy(
             got_there = False
             total = 0.0
             steps = 0
-            for step in run_episode(task, act, level, rng, mode):
+            for step in run_episode(task, act, level, rng):
                 total += float(sum(step.rewards))
                 steps += 1
                 for ev in step.events:
@@ -245,18 +220,20 @@ def base_actor(base: BaseModule, task: Task) -> Callable:
     return cascade_actor(cascade_for_task(base, [], task))
 
 
+CLEARANCE_FACTOR = 3.0
+
+
 def compensation_profile(
     cascade: CascadePolicy,
     task: Task,
     episodes: int,
     seed: int,
     level: float = 1.0,
-    clearance_factor: float = 3.0,
 ) -> dict:
     """How much the last module pushes when obstacles are far away.
 
     A step counts as far when every obstacle's surface gap exceeds
-    clearance_factor times its own contact range.  A module that learned
+    CLEARANCE_FACTOR times its own contact range.  A module that learned
     a local dodge should be near-silent on those steps.
     """
     if not cascade.modules:
@@ -275,7 +252,7 @@ def compensation_profile(
             world = step.world
             far = all(
                 obstacle_clearance(world, task.cfg, obs)
-                > clearance_factor * (obs.radius + contact)
+                > CLEARANCE_FACTOR * (obs.radius + contact)
                 for obs in world.obstacles
             )
             if far and world.obstacles:
@@ -358,11 +335,6 @@ class RunConfig:
     # keep training after the curriculum tops out; the extra iterations
     # polish the policy at full spread instead of stopping at first touch
     stop_at_terminal: bool = True
-    ppo: PPOConfig = None
-
-    def __post_init__(self):
-        if self.ppo is None:
-            self.ppo = PPOConfig()
 
 
 def _progress_printer(tag: str, emit: Callable[[str], None] | None):
@@ -386,7 +358,7 @@ def run_train_base(
 ) -> TrainResult:
     result = train_base(
         loaded.task,
-        run.ppo,
+        PPOConfig(),
         loaded.curriculum,
         seed=run.seed,
         max_iterations=run.max_iterations,
@@ -409,7 +381,7 @@ def run_train_attribute(
     result = train_attribute(
         base,
         loaded.task,
-        run.ppo,
+        PPOConfig(),
         loaded.curriculum,
         seed=run.seed,
         max_iterations=run.max_iterations,
@@ -456,7 +428,7 @@ def run_compare(
         try:
             if arm == "can":
                 result = train_attribute(
-                    base, loaded.task, run.ppo,
+                    base, loaded.task, PPOConfig(),
                     _arm_curriculum(loaded.curriculum, "cl"),
                     seed=run.seed, max_iterations=run.max_iterations,
                                 progress=_progress_printer(arm, emit),
@@ -464,7 +436,7 @@ def run_compare(
             else:
                 mode = "cl" if arm == "scratch_cl" else "rcl"
                 result = train_flat(
-                    loaded.task, run.ppo,
+                    loaded.task, PPOConfig(),
                     _arm_curriculum(loaded.curriculum, mode),
                     seed=run.seed, max_iterations=run.max_iterations,
                                 progress=_progress_printer(arm, emit),

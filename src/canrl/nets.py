@@ -2,9 +2,9 @@
 Gaussian policy head, and the Adam optimizer.
 
 Everything runs in float64 so finite-difference gradient checks are
-meaningful.  Forward passes never mutate the network; optimizer steps
-return fresh parameter arrays instead of updating in place, so a net can
-be read concurrently while an update is being prepared.
+meaningful.  Forward passes never mutate the network; an optimizer step
+updates the arrays that `parameters()` returns in place, so the nets
+train without copying their weights back.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ from .errors import DimensionError, DivergenceError
 SIGMA_MIN = 1e-3
 SIGMA_MAX = 10.0
 LOG_2PI = math.log(2.0 * math.pi)
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def scaled_uniform_init(
@@ -103,37 +107,13 @@ class DenseNet:
             g = dz @ self.weights[i].T
         return grads, g  # type: ignore[return-value]
 
-    def backward(
-        self, x: np.ndarray, upstream: np.ndarray
-    ) -> tuple[list[np.ndarray], np.ndarray]:
-        x = np.asarray(x, dtype=np.float64)
-        up = np.asarray(upstream, dtype=np.float64)
-        single = x.ndim == 1
-        _, acts = self.forward_cached(np.atleast_2d(x))
-        up2 = np.atleast_2d(up)
-        if up2.shape[1] != self.out_dim:
-            raise DimensionError(
-                f"expected upstream (*, {self.out_dim}), got {up.shape}"
-            )
-        grads, gx = self.backward_cached(acts, up2)
-        return grads, (gx[0] if single else gx)
-
     def parameters(self) -> list[np.ndarray]:
+        """The net's own arrays, [W0, b0, W1, b1, ...]; writes go through."""
         out: list[np.ndarray] = []
         for w, b in zip(self.weights, self.biases):
             out.append(w)
             out.append(b)
         return out
-
-    def set_parameters(self, params: list[np.ndarray]) -> None:
-        if len(params) != 2 * len(self.weights):
-            raise DimensionError("wrong number of parameter arrays")
-        for i in range(len(self.weights)):
-            w, b = params[2 * i], params[2 * i + 1]
-            if w.shape != self.weights[i].shape or b.shape != self.biases[i].shape:
-                raise DimensionError("parameter shape mismatch")
-            self.weights[i] = w
-            self.biases[i] = b
 
     def to_dict(self) -> dict:
         return {
@@ -207,27 +187,11 @@ class GaussianPolicy:
         action = mean + std * rng.standard_normal(self.action_dim)
         return action, float(gaussian_log_prob(mean, std, action))
 
-    def log_prob(self, state: np.ndarray, action: np.ndarray) -> float:
-        action = np.asarray(action, dtype=np.float64)
-        if action.shape != (self.action_dim,):
-            raise DimensionError(
-                f"expected action ({self.action_dim},), got {action.shape}"
-            )
-        return float(gaussian_log_prob(self.mean(state), self.std(), action))
-
     def entropy(self) -> float:
         return float(np.sum(np.log(self.std()) + 0.5 * (1.0 + LOG_2PI)))
 
     def parameters(self) -> list[np.ndarray]:
         return [*self.mean_net.parameters(), self.log_std]
-
-    def set_parameters(self, params: list[np.ndarray]) -> None:
-        if len(params) != 2 * len(self.mean_net.weights) + 1:
-            raise DimensionError("wrong number of parameter arrays")
-        self.mean_net.set_parameters(params[:-1])
-        if params[-1].shape != self.log_std.shape:
-            raise DimensionError("log_std shape mismatch")
-        self.log_std = params[-1]
 
     def to_dict(self) -> dict:
         d = self.mean_net.to_dict()
@@ -247,31 +211,27 @@ class GaussianPolicy:
 class AdamState:
     """Adam moments for one flat list of parameter arrays.
 
-    Single-writer: moments update in place, parameters do not.
+    `adam_step` updates the moments and the parameter arrays in place.
     """
 
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], lr: float = 1e-4, **kw) -> "AdamState":
+    def for_params(cls, params: list[np.ndarray], lr: float = 1e-4) -> "AdamState":
         return cls(
             [np.zeros_like(p) for p in params],
             [np.zeros_like(p) for p in params],
             lr=lr,
-            **kw,
         )
 
 
 def adam_step(
     params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
-) -> list[np.ndarray]:
-    """One Adam update with bias correction; returns new parameter arrays."""
+) -> None:
+    """One Adam update with bias correction, written into `params`."""
     if len(params) != len(grads) or len(params) != len(state.first_moment):
         raise DimensionError("params/grads/state length mismatch")
     for g in grads:
@@ -279,13 +239,11 @@ def adam_step(
             raise DivergenceError("non-finite gradient")
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
-    out = []
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        out.append(p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps))
-    return out
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)

@@ -91,7 +91,6 @@ class Rollout:
     dones: np.ndarray
     episode_rewards: list[float]
     episode_lengths: list[int]
-    values: np.ndarray | None = None
 
     @property
     def n_steps(self) -> int:
@@ -102,18 +101,7 @@ class Rollout:
         return len(self.episode_rewards)
 
 
-class Actor:
-    """Acts with `act(world, rng) -> (env action, Transition)`, sampling
-    from its trainable head; exposes the trainable policy/critic pair."""
-
-    policy: GaussianPolicy
-    value_net: DenseNet
-
-    def act(self, world, rng) -> tuple[np.ndarray, Transition]:
-        raise NotImplementedError
-
-
-class FlatActor(Actor):
+class FlatActor:
     """A single Gaussian policy over one view function."""
 
     def __init__(self, policy: GaussianPolicy, value_net: DenseNet, view_fn: Callable):
@@ -127,7 +115,7 @@ class FlatActor(Actor):
         return a, Transition(view, a, lp, view)
 
 
-class CascadeTailActor(Actor):
+class CascadeTailActor:
     """Full cascade forward; the trainable head is the last module.
 
     The frozen parts of the stack run at their mean actions so the tail
@@ -152,7 +140,7 @@ class CascadeTailActor(Actor):
 
 
 def collect_rollouts(
-    actor: Actor,
+    actor: FlatActor | CascadeTailActor,
     task: Task,
     level: float,
     n_steps: int,
@@ -162,7 +150,10 @@ def collect_rollouts(
     penalty_coeff: float = 0.0,
     max_new_episodes: int | None = None,
 ) -> Rollout:
-    """Whole episodes until at least n_steps transitions are banked."""
+    """Whole episodes until at least n_steps transitions are banked.
+
+    `actor.act(world, rng)` returns the env action and the Transition of
+    its trainable head."""
     trs: list[Transition] = []
     episode_rewards: list[float] = []
     episode_lengths: list[int] = []
@@ -319,7 +310,7 @@ class TrainResult:
 
 
 def _train_loop(
-    actor: Actor,
+    actor: FlatActor | CascadeTailActor,
     task: Task,
     ppo_cfg: PPOConfig,
     cur_cfg: CurriculumConfig,
@@ -331,7 +322,6 @@ def _train_loop(
     stop_at_terminal: bool = True,
 ) -> tuple[list[IterationLog], CurriculumState, int | None, int]:
     params = [*actor.policy.parameters(), *actor.value_net.parameters()]
-    n_pol = len(actor.policy.parameters())
     adam = AdamState.for_params(params, lr=ppo_cfg.lr)
     cur = CurriculumState.from_config(cur_cfg)
     shuffle_rng = episode_rng(seed, SHUFFLE_STREAM, 0)
@@ -356,7 +346,6 @@ def _train_loop(
         )
         episodes_used += roll.n_episodes
         values = actor.value_net.forward(roll.critic_inputs)[:, 0]
-        roll.values = values
         adv, ret = compute_gae(
             roll.rewards, values, roll.dones, ppo_cfg.discount, ppo_cfg.gae_lambda
         )
@@ -380,9 +369,7 @@ def _train_loop(
                 _loss, pol_grads, val_grads, stats = ppo_loss(
                     batch, actor.policy, actor.value_net, ppo_cfg
                 )
-                params = adam_step(params, [*pol_grads, *val_grads], adam)
-                actor.policy.set_parameters(params[:n_pol])
-                actor.value_net.set_parameters(params[n_pol:])
+                adam_step(params, [*pol_grads, *val_grads], adam)
                 stats_acc.append(stats)
                 epoch_kls.append(stats["kl"])
             if float(np.mean(epoch_kls)) > ppo_cfg.kl_limit:

@@ -426,7 +426,7 @@ def test_09_far_field_compensation(capsys, point_base, modules):
     result, loaded = modules["point_obstacle"]
     cascade = make_cascade(base_result.base, [result.module], loaded.task.cfg)
     profile = compensation_profile(
-        cascade, loaded.task, episodes=20, seed=PROFILE_SEED, clearance_factor=3.0
+        cascade, loaded.task, episodes=20, seed=PROFILE_SEED
     )
     ratio = profile["comp_to_base_ratio"]
     ok = ratio < 0.2

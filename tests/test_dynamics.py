@@ -89,6 +89,8 @@ class TestPointStep:
         s = PointRobotState(np.zeros(2), np.zeros(2))
         with pytest.raises(SimulationFault):
             step_robot(s, np.array([np.nan, 0.0]), BIG)
+        with pytest.raises(SimulationFault):
+            step_robot(s, np.array([np.inf, 0.0]), BIG)
 
     def test_wrong_shape_raises(self):
         s = PointRobotState(np.zeros(2), np.zeros(2))
@@ -162,6 +164,8 @@ class TestArmStep:
         s = ArticulatedRobotState(0.0, 0.0, np.zeros(4), np.zeros(4))
         with pytest.raises(SimulationFault):
             step_robot(s, np.array([np.nan, 0, 0, 0, 0]), BIG)
+        with pytest.raises(SimulationFault):
+            step_robot(s, np.array([np.inf, 0, 0, 0, 0]), BIG)
         with pytest.raises(SimulationFault):
             arm_integrate(s, np.array([np.inf, 0, 0, 0, 0]), BIG)
 

@@ -8,7 +8,6 @@ import pytest
 from canrl import cli
 from canrl.cascade import AttributeModule, BaseModule
 from canrl.harness import (
-    LOG_COLUMNS,
     base_actor,
     cascade_actor,
     compensation_profile,
@@ -272,7 +271,10 @@ class TestCli:
         assert out.exists()
         log = tmp_path / "base.train.csv"
         header = log.read_text().split("\n")[0]
-        assert header == ",".join(LOG_COLUMNS)
+        assert header == (
+            "iteration,episodes,random_level,mean_ep_reward,"
+            "policy_loss,value_loss,entropy,kl"
+        )
         assert len(log.read_text().strip().split("\n")) == 3  # header + 2 iters
 
     def test_train_base_reruns_byte_identical(self, tmp_path):
