@@ -9,7 +9,9 @@ push.  Total task reward is the plain sum of the per-attribute rewards.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -31,6 +33,7 @@ from .dynamics import (
     reference_point,
     robot_speed,
     segment_segment_distance,
+    vector_norm,
     wrap_angles,
 )
 from .errors import DimensionError, InfeasibleTaskError, SimulationFault, TaskConfigError
@@ -135,8 +138,8 @@ def advance_obstacle(obs: ObstacleParams, dt: float, half: float) -> ObstaclePar
 
 def robot_touches_disc(world: WorldState, cfg: SimConfig, obs: ObstacleParams) -> bool:
     if world.robot_kind == "point":
-        gap = np.linalg.norm(world.robot.position - obs.center)
-        return bool(gap <= obs.radius + cfg.robot_radius)
+        gap = vector_norm(world.robot.position - obs.center)
+        return gap <= obs.radius + cfg.robot_radius
     pts = arm_points(world.robot, cfg)
     reach = obs.radius + cfg.link_radius
     return any(
@@ -163,7 +166,7 @@ def robot_touches_segment(world: WorldState, cfg: SimConfig, seg: np.ndarray) ->
 def obstacle_clearance(world: WorldState, cfg: SimConfig, obs: ObstacleParams) -> float:
     """Surface-to-surface distance; negative while touching."""
     if world.robot_kind == "point":
-        gap = float(np.linalg.norm(world.robot.position - obs.center))
+        gap = vector_norm(world.robot.position - obs.center)
         return gap - obs.radius - cfg.robot_radius
     pts = arm_points(world.robot, cfg)
     gap = min(
@@ -175,7 +178,7 @@ def obstacle_clearance(world: WorldState, cfg: SimConfig, obs: ObstacleParams) -
 
 def target_reached(world: WorldState, cfg: SimConfig) -> bool:
     ref = reference_point(world, cfg)
-    return bool(np.linalg.norm(ref - world.target_position) <= cfg.target_radius)
+    return vector_norm(ref - world.target_position) <= cfg.target_radius
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +361,13 @@ class Task:
     @property
     def action_dim(self) -> int:
         return action_dim(self.robot)
+
+    @cached_property
+    def limits(self) -> np.ndarray:
+        """Actuator limits, computed once per task and never written."""
+        lim = action_limits(self.robot, self.cfg)
+        lim.flags.writeable = False
+        return lim
 
 
 def build_task(robot: str, cfg: SimConfig, nominal: Nominal, addons: list[AddonSetup]) -> Task:
@@ -547,10 +557,9 @@ def step_task(
         raise DimensionError(
             f"expected action ({task.action_dim},), got {action.shape}"
         )
-    if not np.all(np.isfinite(action)):
+    if not np.isfinite(action).all():
         raise SimulationFault(f"non-finite action {action!r}")
-    limits = action_limits(task.robot, cfg)
-    commanded = np.clip(action, -limits, limits)
+    commanded = np.clip(action, -task.limits, task.limits)
 
     effective = commanded
     for spec in task.specs:
@@ -591,27 +600,41 @@ def step_task(
 
 
 class EpisodeStep(NamedTuple):
+    episode: int  # index of the episode's rng in the `rngs` it ran with
     world: WorldState  # the world the action was chosen in
     action: np.ndarray
-    record: Any  # whatever the actor returned beside the action
+    record: Any  # whatever the actor returned for this world beside the action
     next_world: WorldState
     rewards: list[float]
     done: bool
     events: list[str]
 
 
-def run_episode(
-    task: Task, act: Callable, level: float, rng: np.random.Generator, mode: str = "cl"
+def run_episodes(
+    task: Task,
+    act: Callable,
+    level: float,
+    rngs: Sequence[np.random.Generator],
+    mode: str = "cl",
 ) -> Iterator[EpisodeStep]:
-    """Reset, then act and step until done, yielding every step.
+    """Reset one world per rng, then step every live world in lockstep
+    until all are done, yielding every step.
 
-    `act(world, rng) -> (action, record)` is the one actor contract; the
-    episode draws all its randomness, reset and actor alike, from `rng`.
+    Each tick calls `act(worlds, rngs) -> (actions, records)` once on the
+    live worlds, in episode order, then steps them in that order; row j
+    of `actions` and `records[j]` belong to the j-th live world.  Episode
+    k draws all its randomness, reset and actor alike, from `rngs[k]`, so
+    its steps do not depend on which episodes run beside it.
     """
-    world = reset(task, level, rng, mode)
-    done = False
-    while not done:
-        action, record = act(world, rng)
-        nxt, rewards, done, events = step_task(task, world, action)
-        yield EpisodeStep(world, action, record, nxt, rewards, done, events)
-        world = nxt
+    worlds = [reset(task, level, rng, mode) for rng in rngs]
+    live = list(range(len(worlds)))
+    while live:
+        actions, records = act([worlds[k] for k in live], [rngs[k] for k in live])
+        still = []
+        for j, k in enumerate(live):
+            nxt, rewards, done, events = step_task(task, worlds[k], actions[j])
+            yield EpisodeStep(k, worlds[k], actions[j], records[j], nxt, rewards, done, events)
+            worlds[k] = nxt
+            if not done:
+                still.append(k)
+        live = still

@@ -10,6 +10,7 @@ with no further training.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,10 +66,12 @@ class CascadePolicy:
 
 @dataclass
 class CascadeStepRecord:
-    """Everything observed while producing one cascade action.
+    """Everything observed while producing one tick of stack actions.
 
-    `log_prob` is the log-prob of the exploring head's sample, or None
-    when every head ran at its mean.
+    Every array holds one row per world, and `record[i]` is world i's
+    record, whose arrays are row views.  `log_prob` holds the log-probs
+    of the exploring head's samples, or None when every head ran at its
+    mean.
     """
 
     base_view: np.ndarray
@@ -77,7 +80,18 @@ class CascadeStepRecord:
     comp_inputs: list[np.ndarray] = field(default_factory=list)
     comp_actions: list[np.ndarray] = field(default_factory=list)
     stack_actions: list[np.ndarray] = field(default_factory=list)
-    log_prob: float | None = None
+    log_prob: np.ndarray | float | None = None
+
+    def __getitem__(self, i: int) -> "CascadeStepRecord":
+        return CascadeStepRecord(
+            self.base_view[i],
+            self.base_action[i],
+            [a[i] for a in self.views],
+            [a[i] for a in self.comp_inputs],
+            [a[i] for a in self.comp_actions],
+            [a[i] for a in self.stack_actions],
+            None if self.log_prob is None else float(self.log_prob[i]),
+        )
 
 
 def combine(
@@ -103,25 +117,26 @@ def compensation_penalty(comp_action: np.ndarray, coeff: float) -> float:
 
 def cascade_act(
     cascade: CascadePolicy,
-    world: WorldState,
-    rng: np.random.Generator | None = None,
+    worlds: Sequence[WorldState],
+    rngs: Sequence[np.random.Generator] | None = None,
     explore: int | None = None,
 ) -> tuple[np.ndarray, CascadeStepRecord]:
-    """Run the whole stack once, every net once.
+    """Run the whole stack once on a batch of worlds, every net once.
 
     Heads act at their mean, except head `explore` (0 is the base, i the
-    i-th module), which samples from its Gaussian with `rng`.
+    i-th module), which samples world j's action with `rngs[j]`.  Returns
+    the (E, action_dim) stack actions and the tick's record.
     """
-    if explore is not None and rng is None:
-        raise ValueError("an exploring head needs an rng")
-    base_view = cascade.base_spec.extract(world)
-    current, log_prob = _head(cascade.base.policy, base_view, rng, explore == 0)
+    if explore is not None and rngs is None:
+        raise ValueError("an exploring head needs rngs")
+    base_view = np.array([cascade.base_spec.extract(w) for w in worlds])
+    current, log_prob = _head(cascade.base.policy, base_view, rngs, explore == 0)
     rec = CascadeStepRecord(base_view, current, log_prob=log_prob)
     limits = action_limits(cascade.robot, cascade.cfg)
     for i, (module, spec) in enumerate(zip(cascade.modules, cascade.module_specs), 1):
-        view = spec.extract(world)
-        comp_in = np.concatenate([view, current])
-        comp, log_prob = _head(module.comp_policy, comp_in, rng, explore == i)
+        view = np.array([spec.extract(w) for w in worlds])
+        comp_in = np.concatenate([view, current], axis=1)
+        comp, log_prob = _head(module.comp_policy, comp_in, rngs, explore == i)
         if log_prob is not None:
             rec.log_prob = log_prob
         current = combine(current, comp, module.weight, limits)
@@ -133,10 +148,13 @@ def cascade_act(
 
 
 def _head(
-    policy: GaussianPolicy, x: np.ndarray, rng: np.random.Generator | None, explores: bool
-) -> tuple[np.ndarray, float | None]:
-    """A sample and its log-prob when exploring, else the mean alone."""
-    return policy.sample(x, rng) if explores else (policy.mean(x), None)
+    policy: GaussianPolicy,
+    x: np.ndarray,
+    rngs: Sequence[np.random.Generator] | None,
+    explores: bool,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Samples and their log-probs when exploring, else the means alone."""
+    return policy.sample(x, rngs) if explores else (policy.mean(x), None)
 
 
 def make_cascade(

@@ -1,8 +1,9 @@
 """Planar physics: a force-driven point robot and a torque-driven arm on
 a sliding base, both integrated with semi-implicit Euler.
 
-Steppers are pure state-in/state-out; many worlds can be advanced
-concurrently as long as each state object has a single writer.
+Steppers are pure state-in/state-out and never write their inputs, so
+evaluation can keep many worlds alive and step them in lockstep, one
+after another on each tick.
 """
 
 from __future__ import annotations
@@ -95,6 +96,12 @@ def action_limits(robot_kind: str, cfg: SimConfig) -> np.ndarray:
     return np.array([cfg.torque_limit] * 4 + [cfg.force_limit])
 
 
+def vector_norm(d: np.ndarray) -> float:
+    """Euclidean length of a 1-D float vector; the same bits as
+    np.linalg.norm, which computes sqrt(d.d) for this case."""
+    return math.sqrt(d.dot(d))
+
+
 def _clamp_to_walls(pos: np.ndarray, vel: np.ndarray, half: float):
     # wall contact kills the normal velocity component, no bounce
     pos = pos.copy()
@@ -113,12 +120,12 @@ def point_integrate(
     state: PointRobotState, total_force: np.ndarray, cfg: SimConfig
 ) -> PointRobotState:
     """Advance one step under an already-resolved net force (not clamped)."""
-    if not np.all(np.isfinite(total_force)):
+    if not np.isfinite(total_force).all():
         raise SimulationFault(f"non-finite force {total_force!r}")
     v = (1.0 - cfg.damping * cfg.dt) * state.velocity + (total_force / cfg.mass) * cfg.dt
     x = state.position + v * cfg.dt
     x, v = _clamp_to_walls(x, v, cfg.workspace)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
         raise SimulationFault("point state diverged")
     return PointRobotState(x, v)
 
@@ -127,7 +134,7 @@ def arm_integrate(
     state: ArticulatedRobotState, generalized: np.ndarray, cfg: SimConfig
 ) -> ArticulatedRobotState:
     """Advance one step under net joint torques and base force (not clamped)."""
-    if not np.all(np.isfinite(generalized)):
+    if not np.isfinite(generalized).all():
         raise SimulationFault(f"non-finite action {generalized!r}")
     torques, base_force = generalized[:4], generalized[4]
     decay = 1.0 - cfg.damping * cfg.dt
@@ -139,7 +146,7 @@ def arm_integrate(
         bx, bs = -cfg.workspace, 0.0
     elif bx > cfg.workspace:
         bx, bs = cfg.workspace, 0.0
-    if not (np.all(np.isfinite(angles)) and np.all(np.isfinite(jv))):
+    if not (np.isfinite(angles).all() and np.isfinite(jv).all()):
         raise SimulationFault("arm state diverged")
     return ArticulatedRobotState(float(bx), float(bs), angles, jv)
 
@@ -187,7 +194,7 @@ def robot_speed(world: WorldState) -> float:
     """Scalar speed used by speed limits: planar speed for the point robot,
     the largest joint/base magnitude for the arm."""
     if world.robot_kind == "point":
-        return float(np.linalg.norm(world.robot.velocity))
+        return vector_norm(world.robot.velocity)
     r = world.robot
     return float(max(np.max(np.abs(r.joint_velocities)), abs(r.base_speed)))
 
@@ -196,9 +203,9 @@ def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float
     ab = b - a
     denom = float(ab @ ab)
     if denom == 0.0:
-        return float(np.linalg.norm(p - a))
+        return vector_norm(p - a)
     t = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * ab)))
+    return vector_norm(p - (a + t * ab))
 
 
 def _orient(a, b, c) -> float:

@@ -12,11 +12,11 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .attributes import Task, obstacle_clearance, run_episode
+from .attributes import Task, obstacle_clearance, run_episodes
 from .cascade import (
     AttributeModule,
     BaseModule,
@@ -137,6 +137,19 @@ def _robot_record(world) -> dict:
     }
 
 
+# episodes run in lockstep blocks of at most this many, in index order,
+# which bounds the live worlds (and trajectory lines held) for any count
+EVAL_BLOCK = 256
+
+
+def _blocks(seed: int, episodes: int) -> Iterator[tuple[int, list[np.random.Generator]]]:
+    """(first index, eval-stream rngs) of episodes 0..episodes-1, block
+    by block."""
+    for first in range(0, episodes, EVAL_BLOCK):
+        last = min(first + EVAL_BLOCK, episodes)
+        yield first, [episode_rng(seed, EVAL_STREAM, k) for k in range(first, last)]
+
+
 def evaluate_policy(
     act: Callable,
     task: Task,
@@ -145,12 +158,15 @@ def evaluate_policy(
     level: float = 1.0,
     trajectory_path: str | Path | None = None,
 ) -> dict:
-    """Roll episodes with `act(world, rng) -> (action, record)` and tally
-    outcomes.
+    """Roll episodes with `act(worlds, rngs) -> (actions, records)` and
+    tally outcomes.
 
     An episode succeeds when the target is reached and no penalty event
     fired along the way.  Episode k draws from the eval stream at index
     k, so reports are reproducible and independent of each other.
+    Episodes run in lockstep blocks; tallies and trajectory lines are
+    kept per episode and reduced in episode order, so neither depends on
+    the block size.
     """
     if episodes < 1:
         raise TaskConfigError(f"need at least 1 episode, got {episodes}")
@@ -166,24 +182,20 @@ def evaluate_policy(
         Path(trajectory_path).parent.mkdir(parents=True, exist_ok=True)
         sink = open(trajectory_path, "w")
     try:
-        for k in range(episodes):
-            rng = episode_rng(seed, EVAL_STREAM, k)
-            clean = True
-            got_there = False
-            total = 0.0
-            steps = 0
-            for step in run_episode(task, act, level, rng):
-                total += float(sum(step.rewards))
-                steps += 1
-                for ev in step.events:
-                    if ev == "reached_target":
-                        got_there = True
-                    elif _violation(ev):
-                        clean = False
-                        violations[ev] = violations.get(ev, 0) + 1
+        for first, rngs in _blocks(seed, episodes):
+            n = len(rngs)
+            total = [0.0] * n
+            steps = [0] * n
+            events: list[list[str]] = [[] for _ in range(n)]
+            lines: list[list[str]] = [[] for _ in range(n)]
+            for step in run_episodes(task, act, level, rngs):
+                k = step.episode
+                total[k] += float(sum(step.rewards))
+                steps[k] += 1
+                events[k] += step.events
                 if sink is not None:
                     rec = {
-                        "episode": k,
+                        "episode": first + k,
                         "t": step.next_world.time,
                         "robot": _robot_record(step.next_world),
                         "action": [float(v) for v in np.asarray(step.action)],
@@ -191,11 +203,20 @@ def evaluate_policy(
                         "total_reward": float(sum(step.rewards)),
                         "events": list(step.events),
                     }
-                    sink.write(json.dumps(rec, sort_keys=True) + "\n")
-            reached += int(got_there)
-            successes += int(got_there and clean)
-            lengths.append(steps)
-            totals.append(total)
+                    lines[k].append(json.dumps(rec, sort_keys=True) + "\n")
+            for k in range(n):
+                got_there = "reached_target" in events[k]
+                clean = True
+                for ev in events[k]:
+                    if _violation(ev):
+                        clean = False
+                        violations[ev] = violations.get(ev, 0) + 1
+                reached += int(got_there)
+                successes += int(got_there and clean)
+                if sink is not None:
+                    sink.writelines(lines[k])
+            lengths += steps
+            totals += total
     finally:
         if sink is not None:
             sink.close()
@@ -213,7 +234,7 @@ def evaluate_policy(
 
 def cascade_actor(cascade: CascadePolicy) -> Callable:
     """The stack at its mean actions, as an episode actor."""
-    return lambda world, rng: cascade_act(cascade, world)
+    return lambda worlds, rngs: cascade_act(cascade, worlds)
 
 
 def base_actor(base: BaseModule, task: Task) -> Callable:
@@ -234,7 +255,9 @@ def compensation_profile(
 
     A step counts as far when every obstacle's surface gap exceeds
     CLEARANCE_FACTOR times its own contact range.  A module that learned
-    a local dodge should be near-silent on those steps.
+    a local dodge should be near-silent on those steps.  Episodes run in
+    lockstep blocks as in `evaluate_policy`; the norms are concatenated
+    episode by episode.
     """
     if not cascade.modules:
         raise TaskConfigError("profile needs at least one module")
@@ -245,9 +268,10 @@ def compensation_profile(
     base_norms = []
     comp_norms = []
     total_steps = 0
-    for k in range(episodes):
-        rng = episode_rng(seed, EVAL_STREAM, k)
-        for step in run_episode(task, act, level, rng):
+    for _, rngs in _blocks(seed, episodes):
+        far_base: list[list[float]] = [[] for _ in rngs]
+        far_comp: list[list[float]] = [[] for _ in rngs]
+        for step in run_episodes(task, act, level, rngs):
             total_steps += 1
             world = step.world
             far = all(
@@ -256,8 +280,13 @@ def compensation_profile(
                 for obs in world.obstacles
             )
             if far and world.obstacles:
-                base_norms.append(float(np.linalg.norm(step.record.base_action)))
-                comp_norms.append(float(np.linalg.norm(step.record.comp_actions[-1])))
+                far_base[step.episode].append(float(np.linalg.norm(step.record.base_action)))
+                far_comp[step.episode].append(
+                    float(np.linalg.norm(step.record.comp_actions[-1]))
+                )
+        for b, c in zip(far_base, far_comp):
+            base_norms += b
+            comp_norms += c
     if not base_norms:
         raise TaskConfigError("no far-from-obstacle steps observed")
     mean_base = float(np.mean(base_norms))

@@ -10,11 +10,12 @@ train without copying their weights back.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError
+from .errors import DimensionError, DivergenceError, TaskConfigError
 
 SIGMA_MIN = 1e-3
 SIGMA_MAX = 10.0
@@ -74,11 +75,16 @@ class DenseNet:
         return out[0] if single else out
 
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Batched forward pass; also returns activations for backward_cached."""
+        """Batched forward pass over (..., in_dim) inputs; also returns the
+        activations for backward_cached, which takes 2-D batches.
+
+        A stacked (E, 1, in_dim) batch gives each row the bits of a batch
+        of one; a plain (E, in_dim) matmul does not.
+        """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
+        if x.ndim < 2 or x.shape[-1] != self.in_dim:
             raise DimensionError(
-                f"expected input (*, {self.in_dim}), got {x.shape}"
+                f"expected input (..., {self.in_dim}), got {x.shape}"
             )
         acts = [x]
         h = x
@@ -131,6 +137,8 @@ class DenseNet:
         for i, (fi, fo) in enumerate(zip(sizes[:-1], sizes[1:])):
             if weights[i].shape != (fi, fo) or biases[i].shape != (fo,):
                 raise DimensionError("checkpoint layer shapes inconsistent")
+        if not all(np.isfinite(p).all() for p in net.parameters()):
+            raise TaskConfigError("checkpoint holds a non-finite weight or bias")
         return net
 
 
@@ -175,17 +183,27 @@ class GaussianPolicy:
     def std(self) -> np.ndarray:
         return np.clip(np.exp(self.log_std), SIGMA_MIN, SIGMA_MAX)
 
-    def mean(self, state: np.ndarray) -> np.ndarray:
-        return self.mean_net.forward(state)
+    def mean(self, states: np.ndarray) -> np.ndarray:
+        """Means of an (E, state_dim) batch, row i bitwise equal to the
+        mean of row i alone."""
+        states = np.asarray(states, dtype=np.float64)
+        if states.ndim != 2:
+            raise DimensionError(f"expected states (E, {self.state_dim}), got {states.shape}")
+        out, _ = self.mean_net.forward_cached(states[:, None, :])
+        return out[:, 0, :]
 
     def sample(
-        self, state: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, float]:
-        """Draw an action; its log-prob reuses the mean, so the net runs once."""
-        mean = self.mean(state)
+        self, states: np.ndarray, rngs: Sequence[np.random.Generator]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw one action per row, row i's noise from `rngs[i]`; the
+        log-probs reuse the means, so the net runs once."""
+        mean = self.mean(states)
+        if len(rngs) != len(mean):
+            raise DimensionError(f"{len(mean)} states, {len(rngs)} rngs")
         std = self.std()
-        action = mean + std * rng.standard_normal(self.action_dim)
-        return action, float(gaussian_log_prob(mean, std, action))
+        noise = np.array([rng.standard_normal(self.action_dim) for rng in rngs])
+        actions = mean + std * noise
+        return actions, gaussian_log_prob(mean, std, actions)
 
     def entropy(self) -> float:
         return float(np.sum(np.log(self.std()) + 0.5 * (1.0 + LOG_2PI)))
@@ -204,6 +222,8 @@ class GaussianPolicy:
         log_std = np.array(d["log_std"], dtype=np.float64)
         if log_std.shape != (net.out_dim,):
             raise DimensionError("log_std length does not match output width")
+        if not np.isfinite(log_std).all():
+            raise TaskConfigError("checkpoint holds a non-finite log_std")
         return cls(net, log_std)
 
 

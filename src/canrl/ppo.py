@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .attributes import Task, full_view, full_view_dim, run_episode
+from .attributes import Task, full_view, full_view_dim, run_episodes
 from .cascade import (
     AttributeModule,
     BaseModule,
@@ -109,10 +109,13 @@ class FlatActor:
         self.value_net = value_net
         self.view_fn = view_fn
 
-    def act(self, world, rng) -> tuple[np.ndarray, Transition]:
-        view = self.view_fn(world)
-        a, lp = self.policy.sample(view, rng)
-        return a, Transition(view, a, lp, view)
+    def act(self, worlds, rngs) -> tuple[np.ndarray, list[Transition]]:
+        views = [self.view_fn(w) for w in worlds]
+        actions, log_probs = self.policy.sample(np.array(views), rngs)
+        # banked transitions hold row copies, not views that pin the batch
+        return actions, [
+            Transition(v, a.copy(), float(lp), v) for v, a, lp in zip(views, actions, log_probs)
+        ]
 
 
 class CascadeTailActor:
@@ -130,13 +133,16 @@ class CascadeTailActor:
         self.policy = self.module.comp_policy
         self.value_net = self.module.value_net
 
-    def act(self, world, rng) -> tuple[np.ndarray, Transition]:
+    def act(self, worlds, rngs) -> tuple[np.ndarray, list[Transition]]:
         tail = len(self.cascade.modules)
-        action, rec = cascade_act(self.cascade, world, rng, explore=tail)
-        critic_in = np.concatenate([rec.base_view, rec.views[-1]])
-        return action, Transition(
-            rec.comp_inputs[-1], rec.comp_actions[-1], rec.log_prob, critic_in
-        )
+        actions, rec = cascade_act(self.cascade, worlds, rngs, explore=tail)
+        critic_in = np.concatenate([rec.base_view, rec.views[-1]], axis=1)
+        return actions, [
+            Transition(x.copy(), a.copy(), float(lp), c.copy())
+            for x, a, lp, c in zip(
+                rec.comp_inputs[-1], rec.comp_actions[-1], rec.log_prob, critic_in
+            )
+        ]
 
 
 def collect_rollouts(
@@ -152,8 +158,10 @@ def collect_rollouts(
 ) -> Rollout:
     """Whole episodes until at least n_steps transitions are banked.
 
-    `actor.act(world, rng)` returns the env action and the Transition of
-    its trainable head."""
+    `actor.act(worlds, rngs)` returns the env actions and the Transitions
+    of its trainable head.  Episodes run one at a time: the batch is whole
+    episodes in index order, and lockstep episodes past n_steps would be
+    stepped only to be thrown away."""
     trs: list[Transition] = []
     episode_rewards: list[float] = []
     episode_lengths: list[int] = []
@@ -164,7 +172,7 @@ def collect_rollouts(
         rng = episode_rng(seed, TRAIN_STREAM, k)
         total = 0.0
         length = 0
-        for step in run_episode(task, actor.act, level, rng, mode):
+        for step in run_episodes(task, actor.act, level, [rng], mode):
             tr = step.record
             r = float(sum(step.rewards))
             if penalty_coeff > 0.0:

@@ -28,6 +28,24 @@ _ADDON_REQUIRED = {
     "force": {"magnitude", "heading"},
 }
 
+# what each add-on's parameters must satisfy, checked at parse time so a
+# bad file fails here and not mid-episode; a NaN or non-number fails too
+_ADDON_RULES = {
+    "obstacle": (("radius > 0", lambda p: p["radius"] > 0),),
+    "door": (
+        ("period > 0", lambda p: p["period"] > 0),
+        ("0 <= open_fraction <= 1", lambda p: 0 <= p["open_fraction"] <= 1),
+        ("y_lo < y_hi", lambda p: p["y_lo"] < p["y_hi"]),
+    ),
+    "speed": (
+        ("as many times as limits, at least one",
+         lambda p: 0 < len(p["times"]) == len(p["limits"])),
+        ("strictly increasing times",
+         lambda p: all(a < b for a, b in zip(p["times"], p["times"][1:]))),
+    ),
+    "force": (),
+}
+
 
 @dataclass
 class LoadedTask:
@@ -98,6 +116,13 @@ def _parse_addons(spec: list) -> list[AddonSetup]:
         missing = _ADDON_REQUIRED[kind] - set(params)
         if missing:
             raise TaskConfigError(f"addon {i} ({kind}): missing {sorted(missing)}")
+        for rule, holds in _ADDON_RULES[kind]:
+            try:
+                ok = bool(holds(params))
+            except TypeError:
+                ok = False
+            if not ok:
+                raise TaskConfigError(f"addon {i} ({kind}): needs {rule}")
         out.append(AddonSetup(kind, params))
     return out
 

@@ -1,6 +1,7 @@
 """Attribute rewards, views, reset sampling, and the environment step."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,8 +42,10 @@ from canrl.dynamics import (
 from canrl.errors import DimensionError, InfeasibleTaskError, TaskConfigError
 from canrl.taskio import (
     load_stock_task,
+    load_task,
     point_sim_config,
     stock_task_dict,
+    write_stock_tasks,
 )
 
 CFG = point_sim_config()
@@ -437,6 +440,15 @@ class TestTaskValidation:
                     AddonSetup("door", dict(x=0.5, y_lo=-1, y_hi=1, period=2, open_fraction=0.5)),
                 ],
             )
+
+    def test_stock_task_files_are_current(self, tmp_path):
+        # tasks/ is the output of write_stock_tasks; every file must parse
+        shipped = Path(__file__).resolve().parent.parent / "tasks"
+        written = write_stock_tasks(tmp_path)
+        assert sorted(p.name for p in written) == sorted(p.name for p in shipped.glob("*.json"))
+        for path in written:
+            assert path.read_bytes() == (shipped / path.name).read_bytes()
+            load_task(shipped / path.name)
 
     def test_two_obstacles_allowed(self):
         loaded = load_stock_task("point_two_obstacles")

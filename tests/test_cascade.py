@@ -53,34 +53,38 @@ def fresh_module(seed=1, kind="obstacle", robot="point", entity_index=0, weight=
     )
 
 
-def obstacle_world(level=0.3, seed=0):
+def obstacle_worlds(level=0.3, seeds=(0, 1, 2)):
     loaded = load_stock_task("point_obstacle")
-    return loaded.task, reset(loaded.task, level, np.random.default_rng(seed))
+    return loaded.task, [reset(loaded.task, level, np.random.default_rng(s)) for s in seeds]
+
+
+def rngs(seed, n=3):
+    return [np.random.default_rng([seed, i]) for i in range(n)]
 
 
 class TestActs:
     def test_empty_cascade_equals_base(self):
         base = fresh_base()
         cascade = make_cascade(base, [], CFG)
-        task, world = obstacle_world()
-        a, rec = cascade_act(cascade, world)
-        view = cascade.base_spec.extract(world)
-        assert np.array_equal(a, base.policy.mean(view))
+        task, worlds = obstacle_worlds()
+        a, rec = cascade_act(cascade, worlds)
+        views = np.array([cascade.base_spec.extract(w) for w in worlds])
+        assert np.array_equal(a, base.policy.mean(views))
         assert rec.log_prob is None
         assert not rec.stack_actions
         assert np.array_equal(rec.base_action, a)
         # exploring the base samples exactly as the bare policy does
-        a, rec = cascade_act(cascade, world, np.random.default_rng(2), explore=0)
-        a0, lp0 = base.policy.sample(view, np.random.default_rng(2))
+        a, rec = cascade_act(cascade, worlds, rngs(2), explore=0)
+        a0, lp0 = base.policy.sample(views, rngs(2))
         assert np.array_equal(a, a0)
-        assert rec.log_prob == lp0
+        assert np.array_equal(rec.log_prob, lp0)
 
     def test_zero_weight_module_is_transparent(self):
         base = fresh_base()
         module = fresh_module(weight=0.0)
         cascade = make_cascade(base, [module], CFG)
-        _, world = obstacle_world()
-        a, rec = cascade_act(cascade, world)
+        _, worlds = obstacle_worlds()
+        a, rec = cascade_act(cascade, worlds)
         assert np.array_equal(a, rec.base_action)
 
     def test_module_shifts_action(self):
@@ -90,8 +94,8 @@ class TestActs:
         module.comp_policy.mean_net.weights[-1][:] = 0.0
         module.comp_policy.mean_net.biases[-1][:] = 0.3
         cascade = make_cascade(base, [module], CFG)
-        _, world = obstacle_world()
-        a, rec = cascade_act(cascade, world)
+        _, worlds = obstacle_worlds()
+        a, rec = cascade_act(cascade, worlds)
         assert not np.array_equal(a, rec.base_action)
         assert np.allclose(a, rec.base_action + 0.3, atol=1e-12)
 
@@ -110,8 +114,8 @@ class TestActs:
         )
         base = fresh_base()
         cascade = make_cascade(base, [module], CFG)
-        _, world = obstacle_world()
-        a, rec = cascade_act(cascade, world)
+        _, worlds = obstacle_worlds()
+        a, rec = cascade_act(cascade, worlds)
         assert np.allclose(a, 1.5 * rec.base_action, atol=1e-12)
 
     def test_two_modules_stack_in_order(self):
@@ -122,42 +126,67 @@ class TestActs:
         m2.comp_policy.mean_net.biases[-1][:] = -0.1
         cascade = make_cascade(base, [m1, m2], CFG)
         loaded = load_stock_task("point_two_obstacles")
-        world = reset(loaded.task, 0.3, np.random.default_rng(3))
-        a, rec = cascade_act(cascade, world)
+        worlds = [reset(loaded.task, 0.3, np.random.default_rng(s)) for s in (3, 4)]
+        a, rec = cascade_act(cascade, worlds)
         assert len(rec.stack_actions) == 2
         assert np.array_equal(a, rec.stack_actions[-1])
         # second module saw the first module's output
-        assert np.allclose(rec.comp_inputs[1][-2:], rec.stack_actions[0], atol=1e-15)
+        assert np.allclose(rec.comp_inputs[1][:, -2:], rec.stack_actions[0], atol=1e-15)
 
     def test_stochastic_needs_rng(self):
         cascade = make_cascade(fresh_base(), [fresh_module()], CFG)
-        _, world = obstacle_world()
+        _, worlds = obstacle_worlds()
         for head in (0, 1):
             with pytest.raises(ValueError):
-                cascade_act(cascade, world, rng=None, explore=head)
+                cascade_act(cascade, worlds, rngs=None, explore=head)
 
     def test_stochastic_reproducible(self):
         base = fresh_base()
         cascade = make_cascade(base, [fresh_module()], CFG)
-        _, world = obstacle_world()
-        mean, _ = cascade_act(cascade, world)
+        _, worlds = obstacle_worlds()
+        mean, _ = cascade_act(cascade, worlds)
         for head in (0, 1):
-            a1, r1 = cascade_act(cascade, world, np.random.default_rng(5), explore=head)
-            a2, r2 = cascade_act(cascade, world, np.random.default_rng(5), explore=head)
+            a1, r1 = cascade_act(cascade, worlds, rngs(5), explore=head)
+            a2, r2 = cascade_act(cascade, worlds, rngs(5), explore=head)
             assert np.array_equal(a1, a2)
-            assert r1.log_prob == r2.log_prob
-            assert not np.array_equal(a1, mean)
+            assert np.array_equal(r1.log_prob, r2.log_prob)
+            assert not np.any(np.all(a1 == mean, axis=1))
 
     def test_explored_tail_log_prob_matches_policy(self):
         module = fresh_module(weight=1.0)
         cascade = make_cascade(fresh_base(), [module], CFG)
-        _, world = obstacle_world()
-        _, rec = cascade_act(cascade, world, np.random.default_rng(4), explore=1)
+        _, worlds = obstacle_worlds()
+        _, rec = cascade_act(cascade, worlds, rngs(4), explore=1)
         pol = module.comp_policy
         want = gaussian_log_prob(
             pol.mean(rec.comp_inputs[0]), pol.std(), rec.comp_actions[0]
         )
-        assert rec.log_prob == want
+        assert np.array_equal(rec.log_prob, want)
+
+    def test_rows_match_single_world_calls(self):
+        # each world's record is a row of the batch, bit for bit what the
+        # stack gives that world alone, with its own rng
+        loaded = load_stock_task("point_two_obstacles")
+        worlds = [reset(loaded.task, 1.0, np.random.default_rng(s)) for s in range(5)]
+        cascade = make_cascade(
+            fresh_base(), [fresh_module(seed=1), fresh_module(seed=2, entity_index=1)], CFG
+        )
+        for explore in (None, 0, 2):
+            batch = rngs(6, 5) if explore is not None else None
+            a, rec = cascade_act(cascade, worlds, batch, explore=explore)
+            for i, w in enumerate(worlds):
+                one = rngs(6, 5)[i : i + 1] if explore is not None else None
+                a1, rec1 = cascade_act(cascade, [w], one, explore=explore)
+                assert a[i].tobytes() == a1[0].tobytes()
+                row, row1 = rec[i], rec1[0]
+                assert row.log_prob == row1.log_prob
+                for x, y in zip(
+                    [row.base_view, row.base_action, *row.views, *row.comp_inputs,
+                     *row.comp_actions, *row.stack_actions],
+                    [row1.base_view, row1.base_action, *row1.views, *row1.comp_inputs,
+                     *row1.comp_actions, *row1.stack_actions],
+                ):
+                    assert x.tobytes() == y.tobytes()
 
 
 class TestCombine:

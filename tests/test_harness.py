@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from canrl import cli
-from canrl.cascade import AttributeModule, BaseModule
+from canrl.attributes import obstacle_clearance, run_episodes
+from canrl.cascade import AttributeModule, BaseModule, make_cascade
 from canrl.harness import (
+    CLEARANCE_FACTOR,
+    EVAL_BLOCK,
+    VIOLATION_EVENTS,
     base_actor,
     cascade_actor,
     compensation_profile,
@@ -24,17 +28,20 @@ from canrl.harness import (
 )
 from canrl.errors import TaskConfigError
 from canrl.nets import DenseNet, GaussianPolicy
-from canrl.taskio import load_stock_task
+from canrl.ppo import EVAL_STREAM, episode_rng
+from canrl.taskio import load_stock_task, stock_task_dict
 
 
-def servo(world, rng):
-    action = np.clip(
-        2.5 * (world.target_position - world.robot.position)
-        - 1.2 * world.robot.velocity,
-        -1.0,
-        1.0,
-    )
-    return action, None
+def servo(worlds, rngs):
+    actions = np.array([
+        np.clip(
+            2.5 * (w.target_position - w.robot.position) - 1.2 * w.robot.velocity,
+            -1.0,
+            1.0,
+        )
+        for w in worlds
+    ])
+    return actions, [None] * len(worlds)
 
 
 def pinned_base(out=(0.3, 0.0)):
@@ -156,6 +163,132 @@ class TestEvaluate:
         assert len(rec["rewards"]) == 2  # reach + obstacle channels
         assert rec["total_reward"] == pytest.approx(sum(rec["rewards"]))
         assert set(rec["robot"]) == {"position", "velocity"}
+
+
+def _robot_fields(world):
+    r = world.robot
+    if world.robot_kind == "point":
+        return {"position": r.position.tolist(), "velocity": r.velocity.tolist()}
+    return {
+        "base_x": float(r.base_x),
+        "base_speed": float(r.base_speed),
+        "joint_angles": r.joint_angles.tolist(),
+        "joint_velocities": r.joint_velocities.tolist(),
+    }
+
+
+def serial_evaluate(act, task, episodes, seed):
+    """Scalar twin of evaluate_policy: one episode at a time, each fed to
+    run_episodes alone.  Returns the report and the trajectory text."""
+    lines, totals, lengths = [], [], []
+    reached = successes = 0
+    violations = {}
+    for k in range(episodes):
+        total, got_there, clean, steps = 0.0, False, True, 0
+        for step in run_episodes(task, act, 1.0, [episode_rng(seed, EVAL_STREAM, k)]):
+            total += float(sum(step.rewards))
+            steps += 1
+            for ev in step.events:
+                if ev == "reached_target":
+                    got_there = True
+                elif ev.startswith(VIOLATION_EVENTS):
+                    clean = False
+                    violations[ev] = violations.get(ev, 0) + 1
+            lines.append(json.dumps({
+                "episode": k,
+                "t": step.next_world.time,
+                "robot": _robot_fields(step.next_world),
+                "action": step.action.tolist(),
+                "rewards": [float(r) for r in step.rewards],
+                "total_reward": float(sum(step.rewards)),
+                "events": list(step.events),
+            }, sort_keys=True) + "\n")
+        reached += got_there
+        successes += got_there and clean
+        totals.append(total)
+        lengths.append(steps)
+    report = {
+        "episodes": episodes, "level": 1.0, "seed": seed,
+        "success_rate": successes / episodes, "reached": reached,
+        "mean_episode_reward": float(np.mean(totals)),
+        "mean_episode_length": float(np.mean(lengths)),
+        "violations": violations,
+    }
+    return report, "".join(lines)
+
+
+def serial_profile(cascade, task, episodes, seed):
+    """Scalar twin of compensation_profile, one episode at a time."""
+    contact = task.cfg.robot_radius if task.robot == "point" else task.cfg.link_radius
+    base_norms, comp_norms, total = [], [], 0
+    for k in range(episodes):
+        rngs = [episode_rng(seed, EVAL_STREAM, k)]
+        for step in run_episodes(task, cascade_actor(cascade), 1.0, rngs):
+            total += 1
+            obstacles = step.world.obstacles
+            if obstacles and all(
+                obstacle_clearance(step.world, task.cfg, o)
+                > CLEARANCE_FACTOR * (o.radius + contact)
+                for o in obstacles
+            ):
+                base_norms.append(float(np.linalg.norm(step.record.base_action)))
+                comp_norms.append(float(np.linalg.norm(step.record.comp_actions[-1])))
+    mean_base, mean_comp = float(np.mean(base_norms)), float(np.mean(comp_norms))
+    return {
+        "episodes": episodes, "steps_total": total, "steps_far": len(base_norms),
+        "mean_base_norm": mean_base, "mean_comp_norm": mean_comp,
+        "comp_to_base_ratio": mean_comp / mean_base,
+    }
+
+
+def point_stack():
+    """A linear servo base (episodes end at different ticks) under two
+    bound copies of one loud obstacle module, on the two-obstacle task."""
+    w = np.zeros((6, 2))
+    w[2, 0] = w[3, 1] = -1.2  # velocity
+    w[4, 0] = w[5, 1] = 2.5  # target offset
+    policy = GaussianPolicy(DenseNet([6, 2], [w], [np.zeros(2)]), np.zeros(2))
+    base = BaseModule("point", policy, DenseNet.create([6, 8, 1], np.random.default_rng(0)), True)
+    comp = GaussianPolicy.create(11, 2, np.random.default_rng(1), output_gain=1.0)
+    critic = DenseNet.create([15, 8, 1], np.random.default_rng(2))
+    modules = [AttributeModule("point", "obstacle", comp, critic, 0.3, entity_index=i) for i in (0, 1)]
+    task = load_stock_task("point_two_obstacles").task
+    return make_cascade(base, modules, task.cfg), task
+
+
+def arm_stack():
+    rng = np.random.default_rng(3)
+    base = BaseModule(
+        "arm", GaussianPolicy.create(12, 5, rng, output_gain=1.0),
+        DenseNet.create([12, 8, 1], rng), True,
+    )
+    module = AttributeModule(
+        "arm", "obstacle", GaussianPolicy.create(20, 5, rng, output_gain=1.0),
+        DenseNet.create([27, 8, 1], rng), 0.5,
+    )
+    task = load_stock_task("arm_obstacle").task
+    return make_cascade(base, [module], task.cfg), task
+
+
+class TestLockstep:
+    """Lockstep blocks give the bytes of running episodes one at a time."""
+
+    @pytest.mark.parametrize("stack, episodes", [(point_stack, EVAL_BLOCK + 4), (arm_stack, 5)])
+    def test_evaluate_matches_serial(self, tmp_path, stack, episodes):
+        cascade, task = stack()
+        path = tmp_path / "traj.jsonl"
+        act = cascade_actor(cascade)
+        report = evaluate_policy(act, task, episodes, seed=4, trajectory_path=path)
+        want_report, want_lines = serial_evaluate(act, task, episodes, seed=4)
+        assert json.dumps(report, sort_keys=True) == json.dumps(want_report, sort_keys=True)
+        assert path.read_text() == want_lines
+
+    @pytest.mark.parametrize("stack, episodes", [(point_stack, EVAL_BLOCK + 4), (arm_stack, 5)])
+    def test_profile_matches_serial(self, stack, episodes):
+        cascade, task = stack()
+        got = compensation_profile(cascade, task, episodes, seed=5)
+        want = serial_profile(cascade, task, episodes, seed=5)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 class TestCompensationProfile:
@@ -360,6 +493,43 @@ class TestCli:
         rc = cli.main(
             ["eval", "--task", "point_reach", "--base", str(tmp_path / "b.json"),
              flag, value]
+        )
+        assert rc == 2
+
+    @pytest.mark.parametrize("where", ["weights", "biases", "log_std", "value"])
+    def test_eval_nonfinite_checkpoint_exits_2(self, tmp_path, where):
+        path = tmp_path / "b.json"
+        save_base(path, pinned_base())
+        d = read_json(path)
+        if where == "weights":
+            d["policy"]["weights"][0][0][0] = float("nan")
+        elif where == "biases":
+            d["policy"]["biases"][-1][0] = float("inf")
+        elif where == "log_std":
+            d["policy"]["log_std"][1] = float("nan")
+        else:
+            d["value"]["weights"][-1][0][0] = float("-inf")
+        path.write_text(json.dumps(d))
+        rc = cli.main(["eval", "--task", "point_reach", "--base", str(path), "--episodes", "1"])
+        assert rc == 2
+
+    @pytest.mark.parametrize("task, change", [
+        ("point_door", {"period": 0}),
+        ("point_door", {"open_fraction": 1.5}),
+        ("point_door", {"y_lo": 0.6, "y_hi": 0.6}),
+        ("point_speed", {"times": [0.0, 6.0, 3.0, 10.0]}),
+        ("point_speed", {"times": [0.0, 3.0, 6.0]}),
+        ("point_obstacle", {"radius": 0.0}),
+    ], ids=["door_period", "door_open_fraction", "door_span", "speed_times_order",
+            "speed_times_length", "obstacle_radius"])
+    def test_eval_bad_addon_exits_2(self, tmp_path, task, change):
+        d = stock_task_dict(task)
+        d["addons"][0]["params"].update(change)
+        (tmp_path / "task.json").write_text(json.dumps(d))
+        save_base(tmp_path / "b.json", pinned_base())
+        rc = cli.main(
+            ["eval", "--task", str(tmp_path / "task.json"), "--base", str(tmp_path / "b.json"),
+             "--episodes", "1"]
         )
         assert rc == 2
 

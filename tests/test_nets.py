@@ -160,25 +160,25 @@ class TestDenseNetBackward:
 class TestGaussianPolicy:
     def test_sample_reproducible_for_fixed_seed(self):
         pol = GaussianPolicy.create(3, 2, np.random.default_rng(0))
-        s = np.array([0.1, -0.4, 0.9])
-        a1, lp1 = pol.sample(s, np.random.default_rng(99))
-        a2, lp2 = pol.sample(s, np.random.default_rng(99))
+        s = np.array([[0.1, -0.4, 0.9]])
+        a1, lp1 = pol.sample(s, [np.random.default_rng(99)])
+        a2, lp2 = pol.sample(s, [np.random.default_rng(99)])
         assert np.array_equal(a1, a2)
-        assert lp1 == lp2
+        assert np.array_equal(lp1, lp2)
 
     def test_sample_statistics(self):
         pol = GaussianPolicy.create(2, 2, np.random.default_rng(1), init_std=0.5)
-        s = np.array([0.3, -0.2])
-        mean = pol.mean(s)
+        s = np.array([[0.3, -0.2]])
+        mean = pol.mean(s)[0]
         rng = np.random.default_rng(5)
-        draws = np.array([pol.sample(s, rng)[0] for _ in range(100_000)])
+        draws = np.array([pol.sample(s, [rng])[0][0] for _ in range(100_000)])
         assert np.max(np.abs(draws.mean(axis=0) - mean)) < 0.01
         assert np.max(np.abs(draws.std(axis=0) - 0.5)) < 0.01
 
     def test_log_prob_standard_normal_value(self):
         net = DenseNet([1, 1], [np.zeros((1, 1))], [np.zeros(1)])
         pol = GaussianPolicy(net, np.zeros(1))
-        lp = gaussian_log_prob(pol.mean(np.zeros(1)), pol.std(), np.zeros(1))
+        lp = gaussian_log_prob(pol.mean(np.zeros((1, 1)))[0], pol.std(), np.zeros(1))
         assert abs(lp - (-0.9189385332046727)) < 1e-12
 
     def test_log_prob_matches_scipy(self):
@@ -187,16 +187,16 @@ class TestGaussianPolicy:
         for _ in range(10):
             s = rng.normal(size=3)
             a = rng.normal(size=2)
-            mean = pol.mean(s)
+            mean = pol.mean(s[None])[0]
             want = float(np.sum(stats.norm.logpdf(a, mean, pol.std())))
             got = gaussian_log_prob(mean, pol.std(), a)
             assert rel_err(got, want) < 1e-12
 
     def test_log_prob_of_sample_matches_returned(self):
         pol = GaussianPolicy.create(4, 3, np.random.default_rng(2))
-        s = np.linspace(-1, 1, 4)
-        a, lp = pol.sample(s, np.random.default_rng(42))
-        assert gaussian_log_prob(pol.mean(s), pol.std(), a) == lp
+        s = np.linspace(-1, 1, 4)[None]
+        a, lp = pol.sample(s, [np.random.default_rng(42)])
+        assert np.array_equal(gaussian_log_prob(pol.mean(s), pol.std(), a), lp)
 
     def test_entropy_closed_form(self):
         net = DenseNet([1, 2], [np.zeros((1, 2))], [np.zeros(2)])
@@ -211,6 +211,39 @@ class TestGaussianPolicy:
         assert pol.std()[0] == SIGMA_MAX
         assert pol.std()[1] == SIGMA_MIN
 
+    @given(
+        st.integers(1, 64),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(6, 2), (11, 2), (13, 2), (12, 5), (20, 5)]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batch_rows_match_serial_calls(self, e, seed, dims):
+        # the serial twin is the single-state path: a 1-D forward and one
+        # standard normal draw per state
+        k, m = dims
+        rng = np.random.default_rng(seed)
+        pol = GaussianPolicy.create(k, m, rng, output_gain=1.0)
+        pol.log_std[:] = rng.normal(scale=0.5, size=m)
+        states = rng.normal(scale=2.0, size=(e, k))
+        means = pol.mean(states)
+        actions, log_probs = pol.sample(
+            states, [np.random.default_rng([seed, i]) for i in range(e)]
+        )
+        std = pol.std()
+        for i in range(e):
+            mean = pol.mean_net.forward(states[i])
+            action = mean + std * np.random.default_rng([seed, i]).standard_normal(m)
+            assert means[i].tobytes() == mean.tobytes()
+            assert actions[i].tobytes() == action.tobytes()
+            assert log_probs[i] == gaussian_log_prob(mean, std, action)
+
+    def test_sample_needs_one_rng_per_row(self):
+        pol = GaussianPolicy.create(3, 2, np.random.default_rng(0))
+        with pytest.raises(DimensionError):
+            pol.sample(np.zeros((2, 3)), [np.random.default_rng(0)])
+        with pytest.raises(DimensionError):
+            pol.mean(np.zeros(3))
+
     def test_vectorized_log_prob_matches_scalar(self):
         rng = np.random.default_rng(31)
         pol = GaussianPolicy.create(2, 2, rng)
@@ -219,7 +252,7 @@ class TestGaussianPolicy:
         means = pol.mean_net.forward(states)
         vec = gaussian_log_prob(means, pol.std(), actions)
         for i in range(8):
-            one = gaussian_log_prob(pol.mean(states[i]), pol.std(), actions[i])
+            one = gaussian_log_prob(pol.mean(states[i : i + 1])[0], pol.std(), actions[i])
             assert rel_err(vec[i], one) < 1e-12
 
 

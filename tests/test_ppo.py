@@ -159,15 +159,18 @@ class ScriptedActor:
     def __init__(self, task):
         self.task = task
 
-    def act(self, world, rng):
-        force = np.clip(
-            2.5 * (world.target_position - world.robot.position)
-            - 1.2 * world.robot.velocity,
-            -1.0,
-            1.0,
-        )
-        view = self.task.base.extract(world)
-        return force, Transition(view, force, 0.0, view)
+    def act(self, worlds, rngs):
+        forces, trs = [], []
+        for w in worlds:
+            force = np.clip(
+                2.5 * (w.target_position - w.robot.position) - 1.2 * w.robot.velocity,
+                -1.0,
+                1.0,
+            )
+            view = self.task.base.extract(w)
+            forces.append(force)
+            trs.append(Transition(view, force, 0.0, view))
+        return np.array(forces), trs
 
 
 class TestCollect:
