@@ -9,7 +9,7 @@ push.  Total task reward is the plain sum of the per-attribute rewards.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterator, NamedTuple
@@ -27,7 +27,7 @@ from .dynamics import (
     action_limits,
     arm_integrate,
     arm_jacobian,
-    arm_points,
+    link_points,
     point_integrate,
     point_segment_distance,
     reference_point,
@@ -140,7 +140,7 @@ def robot_touches_disc(world: WorldState, cfg: SimConfig, obs: ObstacleParams) -
     if world.robot_kind == "point":
         gap = vector_norm(world.robot.position - obs.center)
         return gap <= obs.radius + cfg.robot_radius
-    pts = arm_points(world.robot, cfg)
+    pts = link_points(world.robot, cfg)
     reach = obs.radius + cfg.link_radius
     return any(
         point_segment_distance(obs.center, pts[i], pts[i + 1]) <= reach
@@ -156,7 +156,7 @@ def robot_touches_segment(world: WorldState, cfg: SimConfig, seg: np.ndarray) ->
         prev = pos - world.robot.velocity * cfg.dt
         d = segment_segment_distance(prev, pos, seg[0], seg[1])
         return bool(d <= cfg.robot_radius)
-    pts = arm_points(world.robot, cfg)
+    pts = link_points(world.robot, cfg)
     return any(
         segment_segment_distance(pts[i], pts[i + 1], seg[0], seg[1]) <= cfg.link_radius
         for i in range(len(pts) - 1)
@@ -168,7 +168,7 @@ def obstacle_clearance(world: WorldState, cfg: SimConfig, obs: ObstacleParams) -
     if world.robot_kind == "point":
         gap = vector_norm(world.robot.position - obs.center)
         return gap - obs.radius - cfg.robot_radius
-    pts = arm_points(world.robot, cfg)
+    pts = link_points(world.robot, cfg)
     gap = min(
         point_segment_distance(obs.center, pts[i], pts[i + 1])
         for i in range(len(pts) - 1)
@@ -614,27 +614,44 @@ def run_episodes(
     task: Task,
     act: Callable,
     level: float,
-    rngs: Sequence[np.random.Generator],
+    rngs: Iterable[np.random.Generator],
     mode: str = "cl",
+    admit: Callable[[int], bool] | None = None,
 ) -> Iterator[EpisodeStep]:
-    """Reset one world per rng, then step every live world in lockstep
-    until all are done, yielding every step.
+    """Step episodes in lockstep, one per rng, yielding every step.
 
-    Each tick calls `act(worlds, rngs) -> (actions, records)` once on the
-    live worlds, in episode order, then steps them in that order; row j
-    of `actions` and `records[j]` belong to the j-th live world.  Episode
-    k draws all its randomness, reset and actor alike, from `rngs[k]`, so
-    its steps do not depend on which episodes run beside it.
+    Before each tick, the next episodes in rng order are reset while
+    `admit(n_live)` holds (with no `admit`, all of them at once); `rngs`
+    is read lazily, one rng per admitted episode.  Each tick calls
+    `act(worlds, rngs) -> (actions, records)` once on the live worlds, in
+    episode order, then steps them in that order; row j of `actions` and
+    `records[j]` belong to the j-th live world.  Episode k draws all its
+    randomness, reset and actor alike, from the k-th rng, so its steps do
+    not depend on which episodes run beside it.
     """
-    worlds = [reset(task, level, rng, mode) for rng in rngs]
-    live = list(range(len(worlds)))
-    while live:
-        actions, records = act([worlds[k] for k in live], [rngs[k] for k in live])
+    pending = iter(rngs)
+    # slot k holds episode k's rng and world, None once it is done
+    streams: list[np.random.Generator | None] = []
+    worlds: list[WorldState | None] = []
+    live: list[int] = []
+    while True:
+        while admit is None or admit(len(live)):
+            rng = next(pending, None)
+            if rng is None:
+                break
+            live.append(len(worlds))
+            streams.append(rng)
+            worlds.append(reset(task, level, rng, mode))
+        if not live:
+            return
+        actions, records = act([worlds[k] for k in live], [streams[k] for k in live])
         still = []
         for j, k in enumerate(live):
             nxt, rewards, done, events = step_task(task, worlds[k], actions[j])
             yield EpisodeStep(k, worlds[k], actions[j], records[j], nxt, rewards, done, events)
-            worlds[k] = nxt
-            if not done:
+            if done:
+                streams[k] = worlds[k] = None
+            else:
+                worlds[k] = nxt
                 still.append(k)
         live = still

@@ -2,8 +2,11 @@
 a sliding base, both integrated with semi-implicit Euler.
 
 Steppers are pure state-in/state-out and never write their inputs, so
-evaluation can keep many worlds alive and step them in lockstep, one
-after another on each tick.
+rollouts and evaluation can keep many worlds alive and step them in
+lockstep, one after another on each tick.  A robot state is never
+written after it is made, so an arm state computes its link points once
+(`link_points`) and every view, contact test and reward of that state
+reads the same read-only array.
 """
 
 from __future__ import annotations
@@ -58,6 +61,10 @@ class ArticulatedRobotState:
     base_speed: float
     joint_angles: np.ndarray
     joint_velocities: np.ndarray
+    # (cfg, link points) once `link_points` has run on this state
+    _points: tuple[SimConfig, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate(
@@ -166,8 +173,19 @@ def arm_points(state: ArticulatedRobotState, cfg: SimConfig) -> np.ndarray:
     return pts
 
 
+def link_points(state: ArticulatedRobotState, cfg: SimConfig) -> np.ndarray:
+    """`arm_points` of `state`, computed on first use and kept, read-only,
+    on the state for every later call with the same config object."""
+    memo = state._points
+    if memo is None or memo[0] is not cfg:
+        pts = arm_points(state, cfg)
+        pts.flags.writeable = False
+        memo = state._points = (cfg, pts)
+    return memo[1]
+
+
 def end_effector(state: ArticulatedRobotState, cfg: SimConfig) -> np.ndarray:
-    return arm_points(state, cfg)[-1]
+    return link_points(state, cfg)[-1]
 
 
 def arm_jacobian(state: ArticulatedRobotState, cfg: SimConfig) -> np.ndarray:
@@ -199,12 +217,18 @@ def robot_speed(world: WorldState) -> float:
     return float(max(np.max(np.abs(r.joint_velocities)), abs(r.base_speed)))
 
 
+def clamp01(x: float) -> float:
+    """float(np.clip(x, 0.0, 1.0)) with the same bits, NaN and -0.0
+    included, at a fraction of its cost."""
+    return min(max(float(x), 0.0), 1.0)
+
+
 def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     ab = b - a
     denom = float(ab @ ab)
     if denom == 0.0:
         return vector_norm(p - a)
-    t = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
+    t = clamp01((p - a) @ ab / denom)
     return vector_norm(p - (a + t * ab))
 
 

@@ -130,13 +130,17 @@ class DenseNet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DenseNet":
-        sizes = [int(n) for n in d["layer_sizes"]]
-        weights = [np.array(w, dtype=np.float64) for w in d["weights"]]
-        biases = [np.array(b, dtype=np.float64) for b in d["biases"]]
+        try:
+            sizes = [int(n) for n in d["layer_sizes"]]
+            weights = [np.array(w, dtype=np.float64) for w in d["weights"]]
+            biases = [np.array(b, dtype=np.float64) for b in d["biases"]]
+        except (TypeError, ValueError) as exc:
+            raise TaskConfigError(f"checkpoint holds a non-numeric layer: {exc}") from None
         net = cls(sizes, weights, biases)
-        for i, (fi, fo) in enumerate(zip(sizes[:-1], sizes[1:])):
-            if weights[i].shape != (fi, fo) or biases[i].shape != (fo,):
-                raise DimensionError("checkpoint layer shapes inconsistent")
+        want = [((fi, fo), (fo,)) for fi, fo in zip(sizes[:-1], sizes[1:])]
+        got = [(w.shape, b.shape) for w, b in zip(weights, biases)]
+        if len(sizes) < 2 or len(weights) != len(biases) or got != want:
+            raise TaskConfigError("checkpoint layer shapes do not match its layer_sizes")
         if not all(np.isfinite(p).all() for p in net.parameters()):
             raise TaskConfigError("checkpoint holds a non-finite weight or bias")
         return net
@@ -219,9 +223,12 @@ class GaussianPolicy:
     @classmethod
     def from_dict(cls, d: dict) -> "GaussianPolicy":
         net = DenseNet.from_dict(d)
-        log_std = np.array(d["log_std"], dtype=np.float64)
+        try:
+            log_std = np.array(d["log_std"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise TaskConfigError(f"checkpoint holds a non-numeric log_std: {exc}") from None
         if log_std.shape != (net.out_dim,):
-            raise DimensionError("log_std length does not match output width")
+            raise TaskConfigError("checkpoint log_std length does not match its output width")
         if not np.isfinite(log_std).all():
             raise TaskConfigError("checkpoint holds a non-finite log_std")
         return cls(net, log_std)

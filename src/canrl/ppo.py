@@ -9,6 +9,7 @@ episode index), so each episode can be replayed on its own.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -156,34 +157,43 @@ def collect_rollouts(
     penalty_coeff: float = 0.0,
     max_new_episodes: int | None = None,
 ) -> Rollout:
-    """Whole episodes until at least n_steps transitions are banked.
+    """Whole episodes in index order until at least n_steps transitions
+    are banked, exactly as if they ran one after another.
 
     `actor.act(worlds, rngs)` returns the env actions and the Transitions
-    of its trainable head.  Episodes run one at a time: the batch is whole
-    episodes in index order, and lockstep episodes past n_steps would be
-    stepped only to be thrown away."""
-    trs: list[Transition] = []
+    of its trainable head.  Episodes run in lockstep, and episode k is
+    admitted only once the serial batch is sure to contain it: no episode
+    outlasts the horizon, so the steps of the finished episodes plus a
+    full horizon for each live one bound the steps before k.  Admission
+    waits while that bound reaches n_steps, so no episode is stepped and
+    then thrown away, and the batch does not depend on how many run at
+    once."""
+    longest = max(task.cfg.horizon, 1)  # step_task ends every episode by then
+    count = itertools.count() if max_new_episodes is None else range(max_new_episodes)
+    rngs = (episode_rng(seed, TRAIN_STREAM, episode_offset + j) for j in count)
+    finished_steps = 0
+    episodes: list[list[Transition]] = []
     episode_rewards: list[float] = []
-    episode_lengths: list[int] = []
-    while len(trs) < n_steps and (
-        max_new_episodes is None or len(episode_rewards) < max_new_episodes
-    ):
-        k = episode_offset + len(episode_rewards)
-        rng = episode_rng(seed, TRAIN_STREAM, k)
-        total = 0.0
-        length = 0
-        for step in run_episodes(task, actor.act, level, [rng], mode):
-            tr = step.record
-            r = float(sum(step.rewards))
-            if penalty_coeff > 0.0:
-                r += compensation_penalty(tr.action, penalty_coeff)
-            tr.reward = r
-            tr.done = step.done
-            trs.append(tr)
-            total += r
-            length += 1
-        episode_rewards.append(total)
-        episode_lengths.append(length)
+
+    def admit(n_live: int) -> bool:
+        return finished_steps + n_live * longest < n_steps
+
+    for step in run_episodes(task, actor.act, level, rngs, mode, admit):
+        k = step.episode
+        if k == len(episodes):
+            episodes.append([])
+            episode_rewards.append(0.0)
+        tr = step.record
+        r = float(sum(step.rewards))
+        if penalty_coeff > 0.0:
+            r += compensation_penalty(tr.action, penalty_coeff)
+        tr.reward = r
+        tr.done = step.done
+        episodes[k].append(tr)
+        episode_rewards[k] += r
+        if step.done:
+            finished_steps += len(episodes[k])
+    trs = [tr for ep in episodes for tr in ep]
 
     return Rollout(
         policy_inputs=np.stack([t.policy_input for t in trs]),
@@ -193,7 +203,7 @@ def collect_rollouts(
         rewards=np.array([t.reward for t in trs]),
         dones=np.array([float(t.done) for t in trs]),
         episode_rewards=episode_rewards,
-        episode_lengths=episode_lengths,
+        episode_lengths=[len(ep) for ep in episodes],
     )
 
 

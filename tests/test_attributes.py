@@ -27,6 +27,7 @@ from canrl.attributes import (
     periodic_door_schedule,
     reaching_reward,
     reset,
+    run_episodes,
     speed_reward,
     step_task,
     view_dim,
@@ -455,3 +456,72 @@ class TestTaskValidation:
         assert [a.entity_index for a in loaded.task.addons] == [0, 1]
         w = reset(loaded.task, 0.5, np.random.default_rng(0))
         assert len(w.obstacles) == 2
+
+
+def noisy_servo(worlds, rngs):
+    """Servo at the target plus noise from each episode's own rng."""
+    actions = np.array([
+        np.clip(
+            2.5 * (w.target_position - w.robot.position) - 1.2 * w.robot.velocity
+            + 0.5 * rng.standard_normal(2),
+            -1.0,
+            1.0,
+        )
+        for w, rng in zip(worlds, rngs)
+    ])
+    return actions, [None] * len(worlds)
+
+
+class TestRunEpisodes:
+    TASK = load_stock_task("point_reach").task
+    N = 4
+
+    def rngs(self):
+        return [np.random.default_rng([5, k]) for k in range(self.N)]
+
+    def trajectory(self, steps, k):
+        return [
+            (s.action.tobytes(), s.next_world.robot.position.tobytes(), s.rewards, s.done)
+            for s in steps
+            if s.episode == k
+        ]
+
+    def alone(self, k):
+        rng = np.random.default_rng([5, k])
+        return self.trajectory(run_episodes(self.TASK, noisy_servo, 0.7, [rng]), 0)
+
+    def run(self, rngs, admit=None):
+        batches = []
+
+        def act(worlds, rngs):
+            batches.append(len(worlds))
+            return noisy_servo(worlds, rngs)
+
+        return list(run_episodes(self.TASK, act, 0.7, rngs, admit=admit)), batches
+
+    def test_admit_one_runs_episodes_one_after_another(self):
+        pulled = []
+
+        def lazy():
+            for k, rng in enumerate(self.rngs()):
+                pulled.append(k)
+                yield rng
+
+        gen = run_episodes(self.TASK, noisy_servo, 0.7, lazy(), admit=lambda n: n < 1)
+        first = next(gen)
+        assert first.episode == 0 and pulled == [0]  # the rngs are read lazily
+        steps, batches = self.run(self.rngs(), admit=lambda n: n < 1)
+        order = [s.episode for s in steps]
+        assert order == sorted(order) and set(order) == set(range(self.N))
+        assert set(batches) == {1}
+        for k in range(self.N):
+            assert self.trajectory(steps, k) == self.alone(k)
+
+    def test_no_admit_starts_every_episode_at_once(self):
+        steps, batches = self.run(iter(self.rngs()))
+        assert batches[0] == self.N
+        assert [s.episode for s in steps[: self.N]] == list(range(self.N))
+        lengths = [len(self.trajectory(steps, k)) for k in range(self.N)]
+        assert len(set(lengths)) > 1  # episodes end on different ticks
+        for k in range(self.N):
+            assert self.trajectory(steps, k) == self.alone(k)

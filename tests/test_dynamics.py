@@ -16,7 +16,9 @@ from canrl.dynamics import (
     arm_integrate,
     arm_jacobian,
     arm_points,
+    clamp01,
     end_effector,
+    link_points,
     point_integrate,
     point_segment_distance,
     robot_speed,
@@ -247,6 +249,33 @@ class TestKinematics:
         assert np.max(np.abs(jac - fd)) < 1e-6
 
 
+class TestLinkPoints:
+    @given(
+        base_x=st.floats(-1, 1),
+        angles=st.lists(st.floats(-4, 4), min_size=4, max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_memo_equals_arm_points_and_is_read_only(self, base_x, angles):
+        cfg = SimConfig()
+        s = ArticulatedRobotState(base_x, 0.0, np.array(angles), np.zeros(4))
+        pts = link_points(s, cfg)
+        assert pts.tobytes() == arm_points(s, cfg).tobytes()
+        assert link_points(s, cfg) is pts
+        assert end_effector(s, cfg).tobytes() == pts[-1].tobytes()
+        with pytest.raises(ValueError):
+            pts[0, 0] = 9.0
+        # another config gets its own points
+        long = SimConfig(link_lengths=(0.5, 0.25, 0.25, 0.5))
+        assert link_points(s, long).tobytes() == arm_points(s, long).tobytes()
+
+    def test_memo_is_not_part_of_the_state(self):
+        s = ArticulatedRobotState(0.1, 0.0, np.zeros(4), np.zeros(4))
+        t = ArticulatedRobotState(0.1, 0.0, np.zeros(4), np.zeros(4))
+        link_points(s, SimConfig())
+        assert "_points" not in repr(s)
+        assert np.array_equal(s.as_vector(), t.as_vector())
+
+
 class TestWrap:
     def test_seam_values(self):
         assert wrap_angles(np.array([math.pi]))[0] == pytest.approx(math.pi)
@@ -272,6 +301,34 @@ class TestGeometry:
     def test_degenerate_segment(self):
         a = np.array([1.0, 1.0])
         assert point_segment_distance(np.array([1.0, 2.0]), a, a) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("x", [
+        -0.0, 0.0, 1.0, 0.25, -1e-300, 5e-324, 1.0 + 2**-52, 2.0, -3.0,
+        math.inf, -math.inf, math.nan, -math.nan,
+    ])
+    def test_clamp_has_np_clip_bits(self, x):
+        for v in (x, np.float64(x)):
+            want = np.float64(np.clip(v, 0.0, 1.0))
+            assert np.float64(clamp01(v)).tobytes() == want.tobytes()
+
+    @given(
+        pts=st.lists(st.floats(-2, 2), min_size=6, max_size=6),
+        degenerate=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_point_segment_distance_has_clip_form_bits(self, pts, degenerate):
+        p, a, b = np.array(pts).reshape(3, 2)
+        if degenerate:
+            b = a.copy()
+        ab = b - a
+        denom = float(ab @ ab)
+        if denom == 0.0:
+            want = np.linalg.norm(p - a)
+        else:
+            t = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
+            want = np.linalg.norm(p - (a + t * ab))
+        got = point_segment_distance(p, a, b)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_crossing_segments_have_zero_distance(self):
         d = segment_segment_distance(

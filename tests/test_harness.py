@@ -513,6 +513,26 @@ class TestCli:
         rc = cli.main(["eval", "--task", "point_reach", "--base", str(path), "--episodes", "1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("where", ["row_dropped", "layer_missing", "log_std_width",
+                                       "string_weight"])
+    def test_eval_malformed_checkpoint_exits_2(self, tmp_path, capsys, where):
+        path = tmp_path / "b.json"
+        save_base(path, pinned_base())
+        d = read_json(path)
+        policy = d["policy"]
+        if where == "row_dropped":
+            policy["weights"][0].pop()
+        elif where == "layer_missing":
+            policy["weights"].pop()
+        elif where == "log_std_width":
+            policy["log_std"].pop()
+        else:
+            policy["weights"][1] = "x"
+        path.write_text(json.dumps(d))
+        rc = cli.main(["eval", "--task", "point_reach", "--base", str(path), "--episodes", "1"])
+        assert rc == 2
+        assert "checkpoint" in capsys.readouterr().err
+
     @pytest.mark.parametrize("task, change", [
         ("point_door", {"period": 0}),
         ("point_door", {"open_fraction": 1.5}),

@@ -2,12 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from canrl.cascade import BaseModule
+from canrl import attributes, dynamics
+from canrl.attributes import run_episodes
+from canrl.cascade import AttributeModule, BaseModule, compensation_penalty, make_cascade
 from canrl.nets import AdamState, DenseNet, GaussianPolicy, gaussian_log_prob
 from canrl.ppo import (
+    TRAIN_STREAM,
+    CascadeTailActor,
     FlatActor,
     PPOConfig,
+    Rollout,
     Transition,
     collect_rollouts,
     compute_gae,
@@ -220,6 +227,171 @@ class TestCollect:
             self.actor, self.task, 0.1, 10_000, seed=4, max_new_episodes=2
         )
         assert roll.n_episodes == 2
+
+
+def serial_rollout(actor, task, level, n_steps, seed, episode_offset=0, mode="cl",
+                   penalty_coeff=0.0, max_new_episodes=None):
+    """Serial twin of collect_rollouts: one run_episodes call per episode,
+    in index order, until n_steps transitions are banked."""
+    trs, totals, lengths = [], [], []
+    while len(trs) < n_steps and (max_new_episodes is None or len(totals) < max_new_episodes):
+        rng = episode_rng(seed, TRAIN_STREAM, episode_offset + len(totals))
+        total, length = 0.0, 0
+        for step in run_episodes(task, actor.act, level, [rng], mode):
+            tr = step.record
+            tr.reward = float(sum(step.rewards))
+            if penalty_coeff > 0.0:
+                tr.reward += compensation_penalty(tr.action, penalty_coeff)
+            tr.done = step.done
+            trs.append(tr)
+            total += tr.reward
+            length += 1
+        totals.append(total)
+        lengths.append(length)
+    return Rollout(
+        policy_inputs=np.stack([t.policy_input for t in trs]),
+        actions=np.stack([t.action for t in trs]),
+        log_probs=np.array([t.log_prob for t in trs]),
+        critic_inputs=np.stack([t.critic_input for t in trs]),
+        rewards=np.array([t.reward for t in trs]),
+        dones=np.array([float(t.done) for t in trs]),
+        episode_rewards=totals,
+        episode_lengths=lengths,
+    )
+
+
+def assert_same_rollout(a, b):
+    for name in ("policy_inputs", "actions", "log_probs", "critic_inputs", "rewards", "dones"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.dtype == y.dtype, name
+        assert x.tobytes() == y.tobytes(), name
+    assert np.array(a.episode_rewards).tobytes() == np.array(b.episode_rewards).tobytes()
+    assert a.episode_lengths == b.episode_lengths
+
+
+def counted_rollout(*args, **kwargs):
+    """collect_rollouts with every step_task call counted."""
+    calls = []
+    step = attributes.step_task
+
+    def counting(*a):
+        calls.append(1)
+        return step(*a)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(attributes, "step_task", counting)
+        roll = collect_rollouts(*args, **kwargs)
+    return roll, len(calls)
+
+
+def point_servo_actor(task):
+    """A noisy linear servo: episodes end at many different ticks."""
+    w = np.zeros((6, 2))
+    w[2, 0] = w[3, 1] = -1.2  # velocity
+    w[4, 0] = w[5, 1] = 2.5  # target offset
+    policy = GaussianPolicy(DenseNet([6, 2], [w], [np.zeros(2)]), np.full(2, -1.0))
+    value = DenseNet.create([6, 8, 1], np.random.default_rng(0))
+    return FlatActor(policy, value, task.base.extract)
+
+
+def arm_tail_actor(task):
+    """A random arm base under a loud obstacle module, trainable tail."""
+    rng = np.random.default_rng(0)
+    base = BaseModule(
+        "arm",
+        GaussianPolicy.create(12, 5, rng, hidden=(8,)),
+        DenseNet.create([12, 8, 1], rng),
+        frozen=True,
+    )
+    module = AttributeModule(
+        "arm",
+        "obstacle",
+        GaussianPolicy.create(20, 5, rng, hidden=(8,), output_gain=0.5),
+        DenseNet.create([27, 8, 1], rng),
+    )
+    return CascadeTailActor(make_cascade(base, [module], task.cfg)), module.penalty_coeff
+
+
+class TestLockstepRollouts:
+    """collect_rollouts steps episodes in lockstep; its batch must be the
+    serial one bit for bit, and no episode may be stepped and dropped."""
+
+    POINT = load_stock_task("point_reach").task
+    ARM = load_stock_task("arm_obstacle").task
+
+    @pytest.mark.parametrize("n_steps", [1, 199, 200, 2048])
+    def test_flat_point_matches_serial(self, n_steps):
+        assert self.POINT.cfg.horizon == 200
+        actor = point_servo_actor(self.POINT)
+        roll, steps = counted_rollout(actor, self.POINT, 0.5, n_steps, seed=3)
+        assert_same_rollout(roll, serial_rollout(actor, self.POINT, 0.5, n_steps, 3))
+        assert steps == roll.n_steps
+        assert len(set(roll.episode_lengths)) > 1 or n_steps == 1
+
+    @pytest.mark.parametrize("n_steps", [1, 299, 300, 2048])
+    def test_arm_cascade_tail_matches_serial(self, n_steps):
+        # reverse curriculum near level 0 starts on or near the target, so
+        # episodes last from one tick to the full horizon
+        assert self.ARM.cfg.horizon == 300
+        actor, penalty = arm_tail_actor(self.ARM)
+        assert penalty > 0.0
+        kw = dict(mode="rcl", penalty_coeff=penalty)
+        roll, steps = counted_rollout(actor, self.ARM, 0.06, n_steps, seed=3, **kw)
+        assert_same_rollout(roll, serial_rollout(actor, self.ARM, 0.06, n_steps, 3, **kw))
+        assert steps == roll.n_steps
+        if n_steps == 2048:
+            assert 1 in roll.episode_lengths and 300 in roll.episode_lengths
+
+    def test_episode_cap_matches_serial(self):
+        actor = point_servo_actor(self.POINT)
+        roll, steps = counted_rollout(
+            actor, self.POINT, 1.0, 10_000, seed=4, max_new_episodes=7
+        )
+        want = serial_rollout(actor, self.POINT, 1.0, 10_000, 4, max_new_episodes=7)
+        assert_same_rollout(roll, want)
+        assert roll.n_episodes == 7 and steps == roll.n_steps
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        level=st.floats(0.0, 1.0),
+        n_steps=st.integers(1, 450),
+        offset=st.integers(0, 100),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_any_seed_level_and_budget_matches_serial(self, seed, level, n_steps, offset):
+        actor = point_servo_actor(self.POINT)
+        roll, steps = counted_rollout(
+            actor, self.POINT, level, n_steps, seed=seed, episode_offset=offset
+        )
+        want = serial_rollout(actor, self.POINT, level, n_steps, seed, episode_offset=offset)
+        assert_same_rollout(roll, want)
+        assert steps == roll.n_steps
+
+    @pytest.mark.parametrize("task_name", ["arm_reach", "arm_obstacle"])
+    def test_arm_points_once_per_state(self, monkeypatch, task_name):
+        """Every arm state computes its link points once, whichever of the
+        views, contact tests and rewards reads them."""
+        task = load_stock_task(task_name).task
+        if task.addons:
+            actor, _ = arm_tail_actor(task)
+        else:
+            rng = np.random.default_rng(0)
+            policy = GaussianPolicy.create(12, 5, rng, hidden=(8,))
+            actor = FlatActor(policy, DenseNet.create([12, 8, 1], rng), task.base.extract)
+        seen = []
+        points = dynamics.arm_points
+
+        def counting(state, cfg):
+            seen.append(state)
+            return points(state, cfg)
+
+        monkeypatch.setattr(dynamics, "arm_points", counting)
+        roll = collect_rollouts(actor, task, 1.0, 700, seed=2)
+        assert len({id(s) for s in seen}) == len(seen)
+        if not task.addons:
+            # the state each step makes, plus each episode's start; no
+            # spawn check looks at rejected starts on a bare task
+            assert len(seen) == roll.n_steps + roll.n_episodes
 
 
 class TestTrainers:
