@@ -9,7 +9,7 @@ push.  Total task reward is the plain sum of the per-attribute rewards.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterator, NamedTuple
@@ -28,13 +28,13 @@ from .dynamics import (
     arm_integrate,
     arm_jacobian,
     link_points,
+    planar_norm,
     point_integrate,
     point_segment_distance,
     reference_point,
     robot_speed,
     segment_segment_distance,
-    vector_norm,
-    wrap_angles,
+    wrap_angle,
 )
 from .errors import DimensionError, InfeasibleTaskError, SimulationFault, TaskConfigError
 
@@ -117,68 +117,76 @@ class DisturbanceForce:
     force: np.ndarray  # planar, applied to the body / at the end effector
 
 
+def _bounce(c: float, v: float, lo: float, hi: float) -> tuple[float, float]:
+    if c < lo:
+        return lo + (lo - c), -v
+    if c > hi:
+        return hi - (c - hi), -v
+    return c, v
+
+
 def advance_obstacle(obs: ObstacleParams, dt: float, half: float) -> ObstacleParams:
     """Constant-velocity drift with elastic bounces off the arena walls."""
-    c = obs.center + obs.velocity * dt
-    v = obs.velocity.copy()
-    lo, hi = -(half - obs.radius), (half - obs.radius)
-    c = c.copy()
-    for i in range(2):
-        if c[i] < lo:
-            c[i] = lo + (lo - c[i])
-            v[i] = -v[i]
-        elif c[i] > hi:
-            c[i] = hi - (c[i] - hi)
-            v[i] = -v[i]
-    return ObstacleParams(c, obs.radius, v)
+    hi = half - obs.radius
+    cx, cy = obs.center.tolist()
+    vx, vy = obs.velocity.tolist()
+    cx, vx = _bounce(cx + vx * dt, vx, -hi, hi)
+    cy, vy = _bounce(cy + vy * dt, vy, -hi, hi)
+    return ObstacleParams(np.array((cx, cy)), obs.radius, np.array((vx, vy)))
 
 
 # ---------------------------------------------------------------------------
 # contact predicates
 
 def robot_touches_disc(world: WorldState, cfg: SimConfig, obs: ObstacleParams) -> bool:
+    center = obs.center.tolist()
     if world.robot_kind == "point":
-        gap = vector_norm(world.robot.position - obs.center)
+        px, py = world.robot.position.tolist()
+        gap = planar_norm(px - center[0], py - center[1])
         return gap <= obs.radius + cfg.robot_radius
-    pts = link_points(world.robot, cfg)
+    pts = link_points(world.robot, cfg).tolist()
     reach = obs.radius + cfg.link_radius
     return any(
-        point_segment_distance(obs.center, pts[i], pts[i + 1]) <= reach
+        point_segment_distance(center, pts[i], pts[i + 1]) <= reach
         for i in range(len(pts) - 1)
     )
 
 
 def robot_touches_segment(world: WorldState, cfg: SimConfig, seg: np.ndarray) -> bool:
+    q0, q1 = seg.tolist()
     if world.robot_kind == "point":
         # swept test: the previous position is exactly pos - v*dt under
         # semi-implicit Euler, so fast crossings cannot tunnel through
-        pos = world.robot.position
-        prev = pos - world.robot.velocity * cfg.dt
-        d = segment_segment_distance(prev, pos, seg[0], seg[1])
-        return bool(d <= cfg.robot_radius)
-    pts = link_points(world.robot, cfg)
+        px, py = world.robot.position.tolist()
+        vx, vy = world.robot.velocity.tolist()
+        prev = (px - vx * cfg.dt, py - vy * cfg.dt)
+        return segment_segment_distance(prev, (px, py), q0, q1) <= cfg.robot_radius
+    pts = link_points(world.robot, cfg).tolist()
     return any(
-        segment_segment_distance(pts[i], pts[i + 1], seg[0], seg[1]) <= cfg.link_radius
+        segment_segment_distance(pts[i], pts[i + 1], q0, q1) <= cfg.link_radius
         for i in range(len(pts) - 1)
     )
 
 
 def obstacle_clearance(world: WorldState, cfg: SimConfig, obs: ObstacleParams) -> float:
     """Surface-to-surface distance; negative while touching."""
+    center = obs.center.tolist()
     if world.robot_kind == "point":
-        gap = vector_norm(world.robot.position - obs.center)
+        px, py = world.robot.position.tolist()
+        gap = planar_norm(px - center[0], py - center[1])
         return gap - obs.radius - cfg.robot_radius
-    pts = link_points(world.robot, cfg)
+    pts = link_points(world.robot, cfg).tolist()
     gap = min(
-        point_segment_distance(obs.center, pts[i], pts[i + 1])
+        point_segment_distance(center, pts[i], pts[i + 1])
         for i in range(len(pts) - 1)
     )
     return gap - obs.radius - cfg.link_radius
 
 
 def target_reached(world: WorldState, cfg: SimConfig) -> bool:
-    ref = reference_point(world, cfg)
-    return vector_norm(ref - world.target_position) <= cfg.target_radius
+    rx, ry = reference_point(world, cfg).tolist()
+    tx, ty = world.target_position.tolist()
+    return planar_norm(rx - tx, ry - ty) <= cfg.target_radius
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +217,20 @@ def speed_reward(world: WorldState, profile: SpeedLimitProfile) -> float:
 @dataclass
 class AttributeSpec:
     """One attribute: id, minimal state view, reward, and an optional
-    action-space dynamics hook."""
+    action-space dynamics hook.
+
+    `extract(worlds)` returns the (E, state_dim) views of a batch of
+    worlds, one row per world.  `reward(world, action)` scores one world
+    after a step and `dynamics_effect(world, action)` maps one world's
+    command (a list of floats) to the list the dynamics integrate.
+    """
 
     id: int
     kind: str
     state_dim: int
-    extract: Callable[[WorldState], np.ndarray]
-    reward: Callable[[WorldState, np.ndarray], float]
-    dynamics_effect: Callable[[WorldState, np.ndarray], np.ndarray] | None = None
+    extract: Callable[[Sequence[WorldState]], np.ndarray]
+    reward: Callable[[WorldState, Sequence[float]], float]
+    dynamics_effect: Callable[[WorldState, list[float]], list[float]] | None = None
     entity_index: int = 0
 
 
@@ -229,8 +243,20 @@ def view_dim(kind: str, robot: str) -> int:
     return base + {"reach": 2, "obstacle": 5, "door": 5, "speed": 1, "force": 2}[kind]
 
 
-def _robot_vector(world: WorldState) -> np.ndarray:
-    return world.robot.as_vector()
+def _robot_columns(
+    worlds: Sequence[WorldState], robot: str, cfg: SimConfig
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Column blocks that side by side hold each world's robot state
+    vector, and each world's reference point, (E, 2): the point robot
+    itself or the arm's end effector."""
+    if robot == "point":
+        pos = np.array([w.robot.position for w in worlds])
+        return [pos, np.array([w.robot.velocity for w in worlds])], pos
+    rail = np.array([(w.robot.base_x, w.robot.base_speed) for w in worlds])
+    angles = np.array([w.robot.joint_angles for w in worlds])
+    jv = np.array([w.robot.joint_velocities for w in worlds])
+    ref = np.array([link_points(w.robot, cfg)[-1] for w in worlds])
+    return [rail, angles, jv], ref
 
 
 def _get_obstacle(world: WorldState, index: int) -> ObstacleParams:
@@ -239,6 +265,15 @@ def _get_obstacle(world: WorldState, index: int) -> ObstacleParams:
             f"view needs obstacle {index}, world has {len(world.obstacles)}"
         )
     return world.obstacles[index]
+
+
+def _require(worlds: Sequence[WorldState], entity: str, what: str) -> None:
+    if any(getattr(w, entity) is None for w in worlds):
+        raise TaskConfigError(f"view needs {what}, world has none")
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=float)[:, None]
 
 
 def make_attribute(
@@ -250,40 +285,39 @@ def make_attribute(
     dim = view_dim(kind, robot)
 
     if kind == "reach":
-        def extract(world: WorldState) -> np.ndarray:
-            rel = world.target_position - reference_point(world, cfg)
-            return np.concatenate([_robot_vector(world), rel])
+        def extract(worlds: Sequence[WorldState]) -> np.ndarray:
+            state, ref = _robot_columns(worlds, robot, cfg)
+            target = np.array([w.target_position for w in worlds])
+            return np.concatenate([*state, target - ref], axis=1)
 
-        def reward(world: WorldState, action: np.ndarray) -> float:
+        def reward(world: WorldState, action: Sequence[float]) -> float:
             return reaching_reward(world, cfg)
 
         return AttributeSpec(attr_id, kind, dim, extract, reward)
 
     if kind == "obstacle":
-        def extract(world: WorldState) -> np.ndarray:
-            obs = _get_obstacle(world, entity_index)
-            rel = obs.center - reference_point(world, cfg)
-            return np.concatenate(
-                [_robot_vector(world), rel, obs.velocity, [obs.radius]]
-            )
+        def extract(worlds: Sequence[WorldState]) -> np.ndarray:
+            obs = [_get_obstacle(w, entity_index) for w in worlds]
+            state, ref = _robot_columns(worlds, robot, cfg)
+            center = np.array([o.center for o in obs])
+            vel = np.array([o.velocity for o in obs])
+            radius = _column([o.radius for o in obs])
+            return np.concatenate([*state, center - ref, vel, radius], axis=1)
 
-        def reward(world: WorldState, action: np.ndarray) -> float:
+        def reward(world: WorldState, action: Sequence[float]) -> float:
             return obstacle_reward(world, cfg, _get_obstacle(world, entity_index))
 
         return AttributeSpec(attr_id, kind, dim, extract, reward, entity_index=entity_index)
 
     if kind == "door":
-        def extract(world: WorldState) -> np.ndarray:
-            if world.door is None:
-                raise TaskConfigError("view needs a door, world has none")
-            ref = reference_point(world, cfg)
-            seg = world.door.segment
-            wait = world.door.time_to_next_open(world.time)
-            return np.concatenate(
-                [_robot_vector(world), seg[0] - ref, seg[1] - ref, [wait]]
-            )
+        def extract(worlds: Sequence[WorldState]) -> np.ndarray:
+            _require(worlds, "door", "a door")
+            state, ref = _robot_columns(worlds, robot, cfg)
+            seg = np.array([w.door.segment for w in worlds])
+            wait = _column([w.door.time_to_next_open(w.time) for w in worlds])
+            return np.concatenate([*state, seg[:, 0] - ref, seg[:, 1] - ref, wait], axis=1)
 
-        def reward(world: WorldState, action: np.ndarray) -> float:
+        def reward(world: WorldState, action: Sequence[float]) -> float:
             if world.door is None:
                 raise TaskConfigError("reward needs a door, world has none")
             return door_reward(world, cfg, world.door)
@@ -291,13 +325,13 @@ def make_attribute(
         return AttributeSpec(attr_id, kind, dim, extract, reward)
 
     if kind == "speed":
-        def extract(world: WorldState) -> np.ndarray:
-            if world.speed_profile is None:
-                raise TaskConfigError("view needs a speed profile, world has none")
-            lim = world.speed_profile.limit(world.time)
-            return np.concatenate([_robot_vector(world), [lim]])
+        def extract(worlds: Sequence[WorldState]) -> np.ndarray:
+            _require(worlds, "speed_profile", "a speed profile")
+            state, _ = _robot_columns(worlds, robot, cfg)
+            lim = _column([w.speed_profile.limit(w.time) for w in worlds])
+            return np.concatenate([*state, lim], axis=1)
 
-        def reward(world: WorldState, action: np.ndarray) -> float:
+        def reward(world: WorldState, action: Sequence[float]) -> float:
             if world.speed_profile is None:
                 raise TaskConfigError("reward needs a speed profile, world has none")
             return speed_reward(world, world.speed_profile)
@@ -305,23 +339,23 @@ def make_attribute(
         return AttributeSpec(attr_id, kind, dim, extract, reward)
 
     # force
-    def extract(world: WorldState) -> np.ndarray:
-        if world.disturbance is None:
-            raise TaskConfigError("view needs a disturbance, world has none")
-        return np.concatenate([_robot_vector(world), world.disturbance.force])
+    def extract(worlds: Sequence[WorldState]) -> np.ndarray:
+        _require(worlds, "disturbance", "a disturbance")
+        state, _ = _robot_columns(worlds, robot, cfg)
+        push = np.array([w.disturbance.force for w in worlds])
+        return np.concatenate([*state, push], axis=1)
 
-    def reward(world: WorldState, action: np.ndarray) -> float:
+    def reward(world: WorldState, action: Sequence[float]) -> float:
         return 0.0
 
-    def effect(world: WorldState, action: np.ndarray) -> np.ndarray:
+    def effect(world: WorldState, action: list[float]) -> list[float]:
         if world.disturbance is None:
             raise TaskConfigError("dynamics effect needs a disturbance")
         push = world.disturbance.force
-        if world.robot_kind == "point":
-            return action + push
-        # the push acts at the end effector; map it to generalized forces
-        jac = arm_jacobian(world.robot, cfg)
-        return action + jac.T @ push
+        if robot == "arm":
+            # the push acts at the end effector; map it to generalized forces
+            push = arm_jacobian(world.robot, cfg).T @ push
+        return [a + p for a, p in zip(action, push.tolist())]
 
     return AttributeSpec(attr_id, kind, dim, extract, reward, dynamics_effect=effect)
 
@@ -388,9 +422,10 @@ def build_task(robot: str, cfg: SimConfig, nominal: Nominal, addons: list[AddonS
     return Task(robot, cfg, nominal, base, specs, list(addons))
 
 
-def full_view(task: Task, world: WorldState) -> np.ndarray:
-    """Concatenation of every attribute view; the flat-baseline observation."""
-    return np.concatenate([spec.extract(world) for spec in task.specs])
+def full_view(task: Task, worlds: Sequence[WorldState]) -> np.ndarray:
+    """Every attribute view side by side, (E, full_view_dim); the
+    flat-baseline observation."""
+    return np.concatenate([spec.extract(worlds) for spec in task.specs], axis=1)
 
 
 def full_view_dim(task: Task) -> int:
@@ -488,14 +523,10 @@ def _sample_world(task: Task, level: float, rng: np.random.Generator, mode: str)
         ub = rng.uniform()
         base_x = _lerp_box(base_center, -w, w, level, ub)
         ua = rng.uniform(size=4)
-        angles = wrap_angles(
-            np.array(
-                [
-                    _lerp_box(angle_center[i], -math.pi, math.pi, level, ua[i])
-                    for i in range(4)
-                ]
-            )
-        )
+        angles = np.array([
+            wrap_angle(_lerp_box(angle_center[i], -math.pi, math.pi, level, ua[i]))
+            for i in range(4)
+        ])
         jv = level * INIT_SPEED_RANGE * rng.uniform(-1.0, 1.0, size=4)
         bs = level * INIT_SPEED_RANGE * float(rng.uniform(-1.0, 1.0))
         robot = ArticulatedRobotState(base_x, bs, angles, jv)
@@ -557,12 +588,18 @@ def step_task(
         raise DimensionError(
             f"expected action ({task.action_dim},), got {action.shape}"
         )
-    if not np.isfinite(action).all():
+    wanted = action.tolist()
+    if not all(map(math.isfinite, wanted)):
         raise SimulationFault(f"non-finite action {action!r}")
-    commanded = np.clip(action, -task.limits, task.limits)
+    # np.clip's bits for finite input
+    commanded = [
+        -lim if a < -lim else lim if a > lim else a
+        for a, lim in zip(wanted, task.limits.tolist())
+    ]
 
+    specs = task.specs
     effective = commanded
-    for spec in task.specs:
+    for spec in specs:
         if spec.dynamics_effect is not None:
             effective = spec.dynamics_effect(world, effective)
 
@@ -582,7 +619,7 @@ def step_task(
         disturbance=world.disturbance,
     )
 
-    rewards = [spec.reward(nxt, commanded) for spec in task.specs]
+    rewards = [spec.reward(nxt, commanded) for spec in specs]
 
     events: list[str] = []
     if rewards[0] == 1.0:
@@ -603,7 +640,8 @@ class EpisodeStep(NamedTuple):
     episode: int  # index of the episode's rng in the `rngs` it ran with
     world: WorldState  # the world the action was chosen in
     action: np.ndarray
-    record: Any  # whatever the actor returned for this world beside the action
+    records: Any  # whatever the actor returned for the whole tick beside the actions
+    row: int  # this world's row in `records`
     next_world: WorldState
     rewards: list[float]
     done: bool
@@ -624,10 +662,12 @@ def run_episodes(
     `admit(n_live)` holds (with no `admit`, all of them at once); `rngs`
     is read lazily, one rng per admitted episode.  Each tick calls
     `act(worlds, rngs) -> (actions, records)` once on the live worlds, in
-    episode order, then steps them in that order; row j of `actions` and
-    `records[j]` belong to the j-th live world.  Episode k draws all its
-    randomness, reset and actor alike, from the k-th rng, so its steps do
-    not depend on which episodes run beside it.
+    episode order, then steps them in that order, each through one
+    `step_task` call; row j of `actions` and of `records` belongs to the
+    j-th live world, and each step carries the tick's `records` and its
+    row.  Episode k draws all its randomness, reset and actor alike, from
+    the k-th rng, so its steps do not depend on which episodes run beside
+    it.
     """
     pending = iter(rngs)
     # slot k holds episode k's rng and world, None once it is done
@@ -648,7 +688,7 @@ def run_episodes(
         still = []
         for j, k in enumerate(live):
             nxt, rewards, done, events = step_task(task, worlds[k], actions[j])
-            yield EpisodeStep(k, worlds[k], actions[j], records[j], nxt, rewards, done, events)
+            yield EpisodeStep(k, worlds[k], actions[j], records, j, nxt, rewards, done, events)
             if done:
                 streams[k] = worlds[k] = None
             else:

@@ -68,10 +68,9 @@ class CascadePolicy:
 class CascadeStepRecord:
     """Everything observed while producing one tick of stack actions.
 
-    Every array holds one row per world, and `record[i]` is world i's
-    record, whose arrays are row views.  `log_prob` holds the log-probs
-    of the exploring head's samples, or None when every head ran at its
-    mean.
+    Every array holds one row per world, in the order of the worlds.
+    `log_prob` holds the log-probs of the exploring head's samples, or
+    None when every head ran at its mean.
     """
 
     base_view: np.ndarray
@@ -80,18 +79,7 @@ class CascadeStepRecord:
     comp_inputs: list[np.ndarray] = field(default_factory=list)
     comp_actions: list[np.ndarray] = field(default_factory=list)
     stack_actions: list[np.ndarray] = field(default_factory=list)
-    log_prob: np.ndarray | float | None = None
-
-    def __getitem__(self, i: int) -> "CascadeStepRecord":
-        return CascadeStepRecord(
-            self.base_view[i],
-            self.base_action[i],
-            [a[i] for a in self.views],
-            [a[i] for a in self.comp_inputs],
-            [a[i] for a in self.comp_actions],
-            [a[i] for a in self.stack_actions],
-            None if self.log_prob is None else float(self.log_prob[i]),
-        )
+    log_prob: np.ndarray | None = None
 
 
 def combine(
@@ -129,12 +117,12 @@ def cascade_act(
     """
     if explore is not None and rngs is None:
         raise ValueError("an exploring head needs rngs")
-    base_view = np.array([cascade.base_spec.extract(w) for w in worlds])
+    base_view = cascade.base_spec.extract(worlds)
     current, log_prob = _head(cascade.base.policy, base_view, rngs, explore == 0)
     rec = CascadeStepRecord(base_view, current, log_prob=log_prob)
     limits = action_limits(cascade.robot, cascade.cfg)
     for i, (module, spec) in enumerate(zip(cascade.modules, cascade.module_specs), 1):
-        view = np.array([spec.extract(w) for w in worlds])
+        view = spec.extract(worlds)
         comp_in = np.concatenate([view, current], axis=1)
         comp, log_prob = _head(module.comp_policy, comp_in, rngs, explore == i)
         if log_prob is not None:

@@ -232,6 +232,13 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _check_numbers(args) -> None:
+    if getattr(args, "seed", 0) < 0:
+        raise TaskConfigError(f"--seed must be >= 0, got {args.seed}")
+    if getattr(args, "budget", None) is not None and args.budget < 1:
+        raise TaskConfigError(f"--budget must be >= 1, got {args.budget}")
+
+
 COMMANDS = {
     "train-base": _cmd_train_base,
     "train-attr": _cmd_train_attr,
@@ -245,6 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numbers(args)
         return COMMANDS[args.command](args)
     except DivergenceError as exc:
         _emit(f"diverged: {exc}")

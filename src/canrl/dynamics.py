@@ -7,11 +7,26 @@ lockstep, one after another on each tick.  A robot state is never
 written after it is made, so an arm state computes its link points once
 (`link_points`) and every view, contact test and reward of that state
 reads the same read-only array.
+
+The per-step kernels read each small vector once with `.tolist()` and do
+their arithmetic on Python floats, which is several times cheaper than
+numpy calls on 2- and 4-vectors and gives numpy's bits:
+- `+ - * /`, `math.sqrt` and comparisons round exactly as numpy's
+  elementwise ufuncs do;
+- `min(max(x, -l), l)` (or the same two comparisons written out) has the
+  bits of `np.clip` for finite x;
+- `np.ceil` keeps the sign of a zero result, which `math.ceil` drops, so
+  `wrap_angle` restores it;
+- 2-vector norms and projections stay on `ndarray.dot`: BLAS may fuse
+  the multiply-add (`fma(y, y, x*x)`), and `x*x + y*y` can then differ
+  in the last bit (`planar_norm`, `point_segment_distance`);
+- `sin`, `cos`, `cumsum` and `tanh` stay in numpy.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -51,9 +66,6 @@ class PointRobotState:
     position: np.ndarray
     velocity: np.ndarray
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.position, self.velocity])
-
 
 @dataclass
 class ArticulatedRobotState:
@@ -65,11 +77,6 @@ class ArticulatedRobotState:
     _points: tuple[SimConfig, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [[self.base_x, self.base_speed], self.joint_angles, self.joint_velocities]
-        )
 
 
 @dataclass
@@ -88,9 +95,12 @@ class WorldState:
         return "point" if isinstance(self.robot, PointRobotState) else "arm"
 
 
-def wrap_angles(a: np.ndarray) -> np.ndarray:
-    """Wrap to (-pi, pi]."""
-    return a - TWO_PI * np.ceil((a - math.pi) / TWO_PI)
+def wrap_angle(a: float) -> float:
+    """Wrap to (-pi, pi], with the bits of the array form
+    `a - TWO_PI * np.ceil((a - pi) / TWO_PI)`."""
+    turns = (a - math.pi) / TWO_PI
+    # np.ceil gives -0.0 on (-1, 0), math.ceil an int 0
+    return a - TWO_PI * (math.ceil(turns) or math.copysign(0.0, turns))
 
 
 def action_dim(robot_kind: str) -> int:
@@ -103,59 +113,66 @@ def action_limits(robot_kind: str, cfg: SimConfig) -> np.ndarray:
     return np.array([cfg.torque_limit] * 4 + [cfg.force_limit])
 
 
-def vector_norm(d: np.ndarray) -> float:
-    """Euclidean length of a 1-D float vector; the same bits as
+def planar_norm(x: float, y: float) -> float:
+    """Euclidean length of the 2-vector (x, y), with the bits of
     np.linalg.norm, which computes sqrt(d.d) for this case."""
+    d = np.array((x, y))
     return math.sqrt(d.dot(d))
 
 
-def _clamp_to_walls(pos: np.ndarray, vel: np.ndarray, half: float):
-    # wall contact kills the normal velocity component, no bounce
-    pos = pos.copy()
-    vel = vel.copy()
-    for i in range(pos.shape[0]):
-        if pos[i] < -half:
-            pos[i] = -half
-            vel[i] = 0.0
-        elif pos[i] > half:
-            pos[i] = half
-            vel[i] = 0.0
-    return pos, vel
+def _clamp_to_wall(x: float, v: float, half: float) -> tuple[float, float]:
+    """One coordinate held in [-half, half]; wall contact kills the normal
+    velocity component, no bounce."""
+    if x < -half:
+        return -half, 0.0
+    if x > half:
+        return half, 0.0
+    return x, v
 
 
 def point_integrate(
-    state: PointRobotState, total_force: np.ndarray, cfg: SimConfig
+    state: PointRobotState, total_force: Sequence[float], cfg: SimConfig
 ) -> PointRobotState:
-    """Advance one step under an already-resolved net force (not clamped)."""
-    if not np.isfinite(total_force).all():
+    """Advance one step under an already-resolved net force (not clamped),
+    any two floats."""
+    fx, fy = total_force
+    if not (math.isfinite(fx) and math.isfinite(fy)):
         raise SimulationFault(f"non-finite force {total_force!r}")
-    v = (1.0 - cfg.damping * cfg.dt) * state.velocity + (total_force / cfg.mass) * cfg.dt
-    x = state.position + v * cfg.dt
-    x, v = _clamp_to_walls(x, v, cfg.workspace)
-    if not (np.isfinite(x).all() and np.isfinite(v).all()):
+    dt = cfg.dt
+    decay = 1.0 - cfg.damping * dt
+    px, py = state.position.tolist()
+    vx, vy = state.velocity.tolist()
+    vx = decay * vx + (fx / cfg.mass) * dt
+    vy = decay * vy + (fy / cfg.mass) * dt
+    px, vx = _clamp_to_wall(px + vx * dt, vx, cfg.workspace)
+    py, vy = _clamp_to_wall(py + vy * dt, vy, cfg.workspace)
+    if not all(map(math.isfinite, (px, py, vx, vy))):
         raise SimulationFault("point state diverged")
-    return PointRobotState(x, v)
+    return PointRobotState(np.array((px, py)), np.array((vx, vy)))
 
 
 def arm_integrate(
-    state: ArticulatedRobotState, generalized: np.ndarray, cfg: SimConfig
+    state: ArticulatedRobotState, generalized: Sequence[float], cfg: SimConfig
 ) -> ArticulatedRobotState:
-    """Advance one step under net joint torques and base force (not clamped)."""
-    if not np.isfinite(generalized).all():
+    """Advance one step under net joint torques and base force (not
+    clamped), any five floats."""
+    *torques, base_force = generalized
+    if not all(map(math.isfinite, generalized)):
         raise SimulationFault(f"non-finite action {generalized!r}")
-    torques, base_force = generalized[:4], generalized[4]
-    decay = 1.0 - cfg.damping * cfg.dt
-    jv = decay * state.joint_velocities + (torques / cfg.joint_inertia) * cfg.dt
-    angles = wrap_angles(state.joint_angles + jv * cfg.dt)
-    bs = decay * state.base_speed + (base_force / cfg.mass) * cfg.dt
-    bx = state.base_x + bs * cfg.dt
-    if bx < -cfg.workspace:
-        bx, bs = -cfg.workspace, 0.0
-    elif bx > cfg.workspace:
-        bx, bs = cfg.workspace, 0.0
-    if not (np.isfinite(angles).all() and np.isfinite(jv).all()):
+    dt = cfg.dt
+    decay = 1.0 - cfg.damping * dt
+    jv = [
+        decay * v + (t / cfg.joint_inertia) * dt
+        for v, t in zip(state.joint_velocities.tolist(), torques)
+    ]
+    angles = [a + v * dt for a, v in zip(state.joint_angles.tolist(), jv)]
+    if not all(map(math.isfinite, angles + jv)):
         raise SimulationFault("arm state diverged")
-    return ArticulatedRobotState(float(bx), float(bs), angles, jv)
+    bs = decay * state.base_speed + (base_force / cfg.mass) * dt
+    bx, bs = _clamp_to_wall(state.base_x + bs * dt, bs, cfg.workspace)
+    return ArticulatedRobotState(
+        float(bx), float(bs), np.array([wrap_angle(a) for a in angles]), np.array(jv)
+    )
 
 
 def arm_points(state: ArticulatedRobotState, cfg: SimConfig) -> np.ndarray:
@@ -212,9 +229,9 @@ def robot_speed(world: WorldState) -> float:
     """Scalar speed used by speed limits: planar speed for the point robot,
     the largest joint/base magnitude for the arm."""
     if world.robot_kind == "point":
-        return vector_norm(world.robot.velocity)
+        return planar_norm(*world.robot.velocity.tolist())
     r = world.robot
-    return float(max(np.max(np.abs(r.joint_velocities)), abs(r.base_speed)))
+    return max(*map(abs, r.joint_velocities.tolist()), abs(r.base_speed))
 
 
 def clamp01(x: float) -> float:
@@ -223,13 +240,18 @@ def clamp01(x: float) -> float:
     return min(max(float(x), 0.0), 1.0)
 
 
-def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
+def point_segment_distance(
+    p: Sequence[float], a: Sequence[float], b: Sequence[float]
+) -> float:
+    """Distance from point p to segment ab, each any two floats."""
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    abx, aby = bx - ax, by - ay
+    ab = np.array((abx, aby))
     denom = float(ab @ ab)
     if denom == 0.0:
-        return vector_norm(p - a)
-    t = clamp01((p - a) @ ab / denom)
-    return vector_norm(p - (a + t * ab))
+        return planar_norm(px - ax, py - ay)
+    t = clamp01(np.array((px - ax, py - ay)) @ ab / denom)
+    return planar_norm(px - (ax + t * abx), py - (ay + t * aby))
 
 
 def _orient(a, b, c) -> float:

@@ -280,9 +280,10 @@ def compensation_profile(
                 for obs in world.obstacles
             )
             if far and world.obstacles:
-                far_base[step.episode].append(float(np.linalg.norm(step.record.base_action)))
+                rec, j = step.records, step.row
+                far_base[step.episode].append(float(np.linalg.norm(rec.base_action[j])))
                 far_comp[step.episode].append(
-                    float(np.linalg.norm(step.record.comp_actions[-1]))
+                    float(np.linalg.norm(rec.comp_actions[-1][j]))
                 )
         for b, c in zip(far_base, far_comp):
             base_norms += b

@@ -103,7 +103,8 @@ class Rollout:
 
 
 class FlatActor:
-    """A single Gaussian policy over one view function."""
+    """A single Gaussian policy over one batched view function,
+    `view_fn(worlds) -> (E, state_dim)`."""
 
     def __init__(self, policy: GaussianPolicy, value_net: DenseNet, view_fn: Callable):
         self.policy = policy
@@ -111,9 +112,10 @@ class FlatActor:
         self.view_fn = view_fn
 
     def act(self, worlds, rngs) -> tuple[np.ndarray, list[Transition]]:
-        views = [self.view_fn(w) for w in worlds]
-        actions, log_probs = self.policy.sample(np.array(views), rngs)
-        # banked transitions hold row copies, not views that pin the batch
+        views = self.view_fn(worlds)
+        actions, log_probs = self.policy.sample(views, rngs)
+        # a banked transition holds a row of the tick's own view block, all
+        # of whose rows are banked, and a copy of its action row
         return actions, [
             Transition(v, a.copy(), float(lp), v) for v, a, lp in zip(views, actions, log_probs)
         ]
@@ -168,7 +170,7 @@ def collect_rollouts(
     waits while that bound reaches n_steps, so no episode is stepped and
     then thrown away, and the batch does not depend on how many run at
     once."""
-    longest = max(task.cfg.horizon, 1)  # step_task ends every episode by then
+    longest = task.cfg.horizon  # step_task ends every episode by then
     count = itertools.count() if max_new_episodes is None else range(max_new_episodes)
     rngs = (episode_rng(seed, TRAIN_STREAM, episode_offset + j) for j in count)
     finished_steps = 0
@@ -183,7 +185,7 @@ def collect_rollouts(
         if k == len(episodes):
             episodes.append([])
             episode_rewards.append(0.0)
-        tr = step.record
+        tr = step.records[step.row]
         r = float(sum(step.rewards))
         if penalty_coeff > 0.0:
             r += compensation_penalty(tr.action, penalty_coeff)
@@ -516,7 +518,7 @@ def train_flat(
     dim = full_view_dim(task)
     policy = GaussianPolicy.create(dim, task.action_dim, rng, HIDDEN, ppo_cfg.init_std)
     value = DenseNet.create([dim, *HIDDEN, 1], rng)
-    actor = FlatActor(policy, value, lambda w: full_view(task, w))
+    actor = FlatActor(policy, value, lambda worlds: full_view(task, worlds))
     log, cur, itt, eps = _train_loop(
         actor, task, ppo_cfg, cur_cfg, seed, max_iterations,
         progress=progress, stop_at_terminal=stop_at_terminal,

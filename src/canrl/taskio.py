@@ -73,13 +73,55 @@ def arm_sim_config(**overrides) -> SimConfig:
     return SimConfig(**base)
 
 
+# each must be a finite number > 0 (damping >= 0); an arm also needs four
+# link lengths > 0
+_POSITIVE_SIM_KEYS = (
+    "dt", "mass", "joint_inertia", "workspace", "force_limit", "torque_limit",
+    "target_radius", "robot_radius", "link_radius",
+)
+
+
+def _finite(v) -> bool:
+    """A finite number; a bool, a string or an int too large for a float
+    is not one."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _positive(v) -> bool:
+    return _finite(v) and v > 0
+
+
 def _parse_sim(robot: str, spec: dict) -> SimConfig:
     unknown = set(spec) - _SIM_KEYS
     if unknown:
         raise TaskConfigError(f"unknown sim keys: {sorted(unknown)}")
     if "link_lengths" in spec:
+        if not isinstance(spec["link_lengths"], list):
+            raise TaskConfigError("sim.link_lengths must be a list")
         spec = dict(spec, link_lengths=tuple(spec["link_lengths"]))
-    return (point_sim_config if robot == "point" else arm_sim_config)(**spec)
+    cfg = (point_sim_config if robot == "point" else arm_sim_config)(**spec)
+    h = cfg.horizon
+    if isinstance(h, bool) or not isinstance(h, int) or h < 1:
+        raise TaskConfigError(f"sim.horizon must be an integer >= 1, got {h!r}")
+    for key in _POSITIVE_SIM_KEYS:
+        if not _positive(getattr(cfg, key)):
+            raise TaskConfigError(
+                f"sim.{key} must be a finite number > 0, got {getattr(cfg, key)!r}"
+            )
+    if not (_finite(cfg.damping) and cfg.damping >= 0):
+        raise TaskConfigError(f"sim.damping must be a finite number >= 0, got {cfg.damping!r}")
+    if robot == "arm" and not (
+        len(cfg.link_lengths) == 4 and all(map(_positive, cfg.link_lengths))
+    ):
+        raise TaskConfigError(
+            f"sim.link_lengths must be four numbers > 0, got {list(cfg.link_lengths)!r}"
+        )
+    return cfg
 
 
 def _parse_nominal(robot: str, spec: dict) -> Nominal:

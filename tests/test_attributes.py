@@ -61,6 +61,11 @@ def point_world(pos, vel=(0.0, 0.0), target=(0.5, 0.0), t=0.0, **extras):
     )
 
 
+def view(spec, world):
+    """One world's row of a batched view."""
+    return spec.extract([world])[0]
+
+
 class TestRewardTable:
     def test_reaching_inside_and_outside(self):
         assert reaching_reward(point_world([0.5, 0.0]), CFG) == 1.0
@@ -118,8 +123,8 @@ class TestViews:
 
     def test_base_view_uses_relative_target(self):
         spec = make_attribute("reach", 0, "point", CFG)
-        a = spec.extract(point_world([0.0, 0.0], target=[0.5, 0.0]))
-        b = spec.extract(point_world([0.2, 0.2], target=[0.7, 0.2]))
+        a = view(spec, point_world([0.0, 0.0], target=[0.5, 0.0]))
+        b = view(spec, point_world([0.2, 0.2], target=[0.7, 0.2]))
         assert np.allclose(a[4:], b[4:])
         assert np.allclose(a[4:], [0.5, 0.0])
 
@@ -128,15 +133,15 @@ class TestViews:
         obs0 = ObstacleParams(np.array([0.1, 0.2]), 0.1, np.array([0.0, 0.25]))
         obs1 = ObstacleParams(np.array([-0.4, 0.0]), 0.1, np.array([0.1, 0.0]))
         obs1_moved = ObstacleParams(np.array([0.8, -0.8]), 0.1, np.array([-0.1, 0.0]))
-        a = spec.extract(point_world([0.0, 0.0], target=[0.5, 0.0], obstacles=[obs0, obs1]))
-        b = spec.extract(point_world([0.0, 0.0], target=[-0.5, 0.9], obstacles=[obs0, obs1_moved]))
+        a = view(spec, point_world([0.0, 0.0], target=[0.5, 0.0], obstacles=[obs0, obs1]))
+        b = view(spec, point_world([0.0, 0.0], target=[-0.5, 0.9], obstacles=[obs0, obs1_moved]))
         assert np.array_equal(a, b)
 
     def test_second_obstacle_binding(self):
         spec = make_attribute("obstacle", 2, "point", CFG, entity_index=1)
         obs0 = ObstacleParams(np.array([0.1, 0.2]), 0.1, np.zeros(2))
         obs1 = ObstacleParams(np.array([-0.4, 0.3]), 0.15, np.array([0.1, 0.0]))
-        v = spec.extract(point_world([0.0, 0.0], obstacles=[obs0, obs1]))
+        v = view(spec, point_world([0.0, 0.0], obstacles=[obs0, obs1]))
         assert np.allclose(v[4:6], [-0.4, 0.3])
         assert v[8] == 0.15
 
@@ -144,32 +149,32 @@ class TestViews:
         spec = make_attribute("door", 1, "point", CFG)
         seg = np.array([[0.0, -0.5], [0.0, 0.5]])
         door = DoorSchedule(seg, [(1.0, 2.0)])
-        v = spec.extract(point_world([-0.2, 0.0], t=0.25, door=door))
+        v = view(spec, point_world([-0.2, 0.0], t=0.25, door=door))
         assert v.shape == (9,)
         assert v[-1] == pytest.approx(0.75)
-        v_open = spec.extract(point_world([-0.2, 0.0], t=1.5, door=door))
+        v_open = view(spec, point_world([-0.2, 0.0], t=1.5, door=door))
         assert v_open[-1] == 0.0
 
     def test_speed_view_tracks_profile(self):
         spec = make_attribute("speed", 1, "point", CFG)
         prof = SpeedLimitProfile(np.array([0.0, 2.0]), np.array([1.0, 2.0]))
-        v = spec.extract(point_world([0, 0], t=1.0, speed_profile=prof))
+        v = view(spec, point_world([0, 0], t=1.0, speed_profile=prof))
         assert v[-1] == pytest.approx(1.5)
 
     def test_missing_entity_is_config_error(self):
         for kind in ("obstacle", "door", "speed", "force"):
             spec = make_attribute(kind, 1, "point", CFG)
             with pytest.raises(TaskConfigError):
-                spec.extract(point_world([0, 0]))
+                view(spec, point_world([0, 0]))
 
     def test_full_view_is_concatenation(self):
         loaded = load_stock_task("point_obstacle")
         rng = np.random.default_rng(0)
-        w = reset(loaded.task, 0.5, rng)
-        v = full_view(loaded.task, w)
-        assert v.shape == (full_view_dim(loaded.task),)
-        assert np.array_equal(v[:6], loaded.task.base.extract(w))
-        assert np.array_equal(v[6:], loaded.task.addons[0].extract(w))
+        worlds = [reset(loaded.task, 0.5, rng) for _ in range(3)]
+        v = full_view(loaded.task, worlds)
+        assert v.shape == (3, full_view_dim(loaded.task))
+        assert np.array_equal(v[:, :6], loaded.task.base.extract(worlds))
+        assert np.array_equal(v[:, 6:], loaded.task.addons[0].extract(worlds))
 
 
 class TestDoorSchedule:
@@ -525,3 +530,24 @@ class TestRunEpisodes:
         assert len(set(lengths)) > 1  # episodes end on different ticks
         for k in range(self.N):
             assert self.trajectory(steps, k) == self.alone(k)
+
+    def test_every_step_calls_the_module_step_task(self, monkeypatch):
+        # the benchmark counts env steps by wrapping `attributes.step_task`
+        # where run_episodes looks it up, and checks that count against
+        # the report; each world-step must go through it exactly once
+        from canrl import attributes
+        from canrl.harness import evaluate_policy
+
+        calls = []
+        step = attributes.step_task
+
+        def counted(*args):
+            calls.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(attributes, "step_task", counted)
+        steps, _ = self.run(self.rngs())
+        assert len(calls) == len(steps) > self.N
+        calls.clear()
+        report = evaluate_policy(noisy_servo, self.TASK, 7, seed=3, level=0.7)
+        assert len(calls) == round(report["mean_episode_length"] * report["episodes"])

@@ -68,7 +68,7 @@ class TestActs:
         cascade = make_cascade(base, [], CFG)
         task, worlds = obstacle_worlds()
         a, rec = cascade_act(cascade, worlds)
-        views = np.array([cascade.base_spec.extract(w) for w in worlds])
+        views = cascade.base_spec.extract(worlds)
         assert np.array_equal(a, base.policy.mean(views))
         assert rec.log_prob is None
         assert not rec.stack_actions
@@ -178,15 +178,17 @@ class TestActs:
                 one = rngs(6, 5)[i : i + 1] if explore is not None else None
                 a1, rec1 = cascade_act(cascade, [w], one, explore=explore)
                 assert a[i].tobytes() == a1[0].tobytes()
-                row, row1 = rec[i], rec1[0]
-                assert row.log_prob == row1.log_prob
+                if explore is None:
+                    assert rec.log_prob is None and rec1.log_prob is None
+                else:
+                    assert rec.log_prob[i] == rec1.log_prob[0]
                 for x, y in zip(
-                    [row.base_view, row.base_action, *row.views, *row.comp_inputs,
-                     *row.comp_actions, *row.stack_actions],
-                    [row1.base_view, row1.base_action, *row1.views, *row1.comp_inputs,
-                     *row1.comp_actions, *row1.stack_actions],
+                    [rec.base_view, rec.base_action, *rec.views, *rec.comp_inputs,
+                     *rec.comp_actions, *rec.stack_actions],
+                    [rec1.base_view, rec1.base_action, *rec1.views, *rec1.comp_inputs,
+                     *rec1.comp_actions, *rec1.stack_actions],
                 ):
-                    assert x.tobytes() == y.tobytes()
+                    assert x[i].tobytes() == y[0].tobytes()
 
 
 class TestCombine:

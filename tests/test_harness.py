@@ -231,8 +231,9 @@ def serial_profile(cascade, task, episodes, seed):
                 > CLEARANCE_FACTOR * (o.radius + contact)
                 for o in obstacles
             ):
-                base_norms.append(float(np.linalg.norm(step.record.base_action)))
-                comp_norms.append(float(np.linalg.norm(step.record.comp_actions[-1])))
+                rec, j = step.records, step.row
+                base_norms.append(float(np.linalg.norm(rec.base_action[j])))
+                comp_norms.append(float(np.linalg.norm(rec.comp_actions[-1][j])))
     mean_base, mean_comp = float(np.mean(base_norms)), float(np.mean(comp_norms))
     return {
         "episodes": episodes, "steps_total": total, "steps_far": len(base_norms),
@@ -552,6 +553,66 @@ class TestCli:
              "--episodes", "1"]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("task, change", [
+        ("point_reach", {"horizon": 0}),
+        ("point_reach", {"horizon": 2.5}),
+        ("point_reach", {"dt": "0.05"}),
+        ("point_reach", {"mass": 0}),
+        ("point_reach", {"workspace": -1}),
+        ("point_reach", {"force_limit": float("inf")}),
+        ("point_reach", {"robot_radius": True}),
+        ("point_reach", {"damping": "0.8"}),
+        ("point_reach", {"damping": -50.0}),
+        ("point_reach", {"target_radius": 10**400}),
+        ("arm_reach", {"link_lengths": [0.5, 0.5]}),
+        ("arm_reach", {"link_lengths": [0.25, 0.25, 0.0, 0.25]}),
+        ("arm_reach", {"joint_inertia": float("nan")}),
+    ], ids=["horizon_zero", "horizon_fraction", "dt_string", "mass_zero", "workspace_negative",
+            "force_limit_inf", "robot_radius_bool", "damping_string", "damping_negative",
+            "target_radius_huge_int", "arm_two_links", "arm_zero_link",
+            "arm_inertia_nan"])
+    def test_eval_bad_sim_exits_2(self, tmp_path, capsys, task, change):
+        d = stock_task_dict(task)
+        d["sim"] = change
+        (tmp_path / "task.json").write_text(json.dumps(d))
+        rng = np.random.default_rng(0)
+        base = pinned_base() if task.startswith("point") else BaseModule(
+            "arm", GaussianPolicy.create(12, 5, rng), DenseNet.create([12, 8, 1], rng), frozen=True
+        )
+        save_base(tmp_path / "b.json", base)
+        rc = cli.main(
+            ["eval", "--task", str(tmp_path / "task.json"), "--base", str(tmp_path / "b.json"),
+             "--episodes", "1"]
+        )
+        assert rc == 2
+        assert f"sim.{next(iter(change))}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "train-base"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        save_base(tmp_path / "b.json", pinned_base())
+        args = {
+            "eval": ["eval", "--task", "point_reach", "--base", str(tmp_path / "b.json"),
+                     "--episodes", "1"],
+            "train-base": ["train-base", "--task", "point_reach",
+                           "--out", str(tmp_path / "out.json"), *TINY],
+        }[command]
+        assert cli.main([*args, "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", ["train-base", "train-attr", "compare"])
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_nonpositive_budget_exits_2(self, tmp_path, capsys, command, budget):
+        save_base(tmp_path / "b.json", pinned_base())
+        out = tmp_path / "out"
+        task = "point_reach" if command == "train-base" else "point_obstacle"
+        args = [command, "--task", task, "--out", str(out), "--budget", budget, "--quiet"]
+        if command != "train-base":
+            args += ["--base", str(tmp_path / "b.json")]
+        assert cli.main(args) == 2
+        assert "--budget" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_assemble_rejects_unbound_entity(self, tmp_path):
         base = tmp_path / "b.json"

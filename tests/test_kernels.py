@@ -1,0 +1,530 @@
+"""The float kernels of the step path against reference twins.
+
+The twins below are the numpy array code the step path ran before it
+moved to Python floats: integrators, wall and rail clamps, obstacle
+drift, contact predicates, the per-world attribute views and the whole
+`step_task`.  Every test checks the kernel against its twin bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from canrl.attributes import (
+    DOOR_PENALTY,
+    OBSTACLE_PENALTY,
+    ObstacleParams,
+    _get_obstacle,
+    advance_obstacle,
+    make_attribute,
+    obstacle_clearance,
+    reset,
+    robot_touches_disc,
+    robot_touches_segment,
+    step_task,
+    target_reached,
+)
+from canrl.dynamics import (
+    ArticulatedRobotState,
+    PointRobotState,
+    SimConfig,
+    WorldState,
+    arm_integrate,
+    arm_jacobian,
+    clamp01,
+    link_points,
+    point_integrate,
+    point_segment_distance,
+    reference_point,
+    robot_speed,
+    wrap_angle,
+)
+from canrl.errors import SimulationFault
+from canrl.taskio import load_stock_task
+
+# ---------------------------------------------------------------------------
+# reference twins: the array code
+
+
+def ref_vector_norm(d):
+    return math.sqrt(d.dot(d))
+
+
+def ref_wrap_angles(a):
+    return a - 2.0 * math.pi * np.ceil((a - math.pi) / (2.0 * math.pi))
+
+
+def ref_clamp_to_walls(pos, vel, half):
+    pos = pos.copy()
+    vel = vel.copy()
+    for i in range(pos.shape[0]):
+        if pos[i] < -half:
+            pos[i] = -half
+            vel[i] = 0.0
+        elif pos[i] > half:
+            pos[i] = half
+            vel[i] = 0.0
+    return pos, vel
+
+
+def ref_point_integrate(state, total_force, cfg):
+    if not np.isfinite(total_force).all():
+        raise SimulationFault("non-finite force")
+    v = (1.0 - cfg.damping * cfg.dt) * state.velocity + (total_force / cfg.mass) * cfg.dt
+    x = state.position + v * cfg.dt
+    x, v = ref_clamp_to_walls(x, v, cfg.workspace)
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
+        raise SimulationFault("point state diverged")
+    return PointRobotState(x, v)
+
+
+def ref_arm_integrate(state, generalized, cfg):
+    if not np.isfinite(generalized).all():
+        raise SimulationFault("non-finite action")
+    torques, base_force = generalized[:4], generalized[4]
+    decay = 1.0 - cfg.damping * cfg.dt
+    jv = decay * state.joint_velocities + (torques / cfg.joint_inertia) * cfg.dt
+    angles = ref_wrap_angles(state.joint_angles + jv * cfg.dt)
+    bs = decay * state.base_speed + (base_force / cfg.mass) * cfg.dt
+    bx = state.base_x + bs * cfg.dt
+    if bx < -cfg.workspace:
+        bx, bs = -cfg.workspace, 0.0
+    elif bx > cfg.workspace:
+        bx, bs = cfg.workspace, 0.0
+    if not (np.isfinite(angles).all() and np.isfinite(jv).all()):
+        raise SimulationFault("arm state diverged")
+    return ArticulatedRobotState(float(bx), float(bs), angles, jv)
+
+
+def ref_advance_obstacle(obs, dt, half):
+    c = obs.center + obs.velocity * dt
+    v = obs.velocity.copy()
+    lo, hi = -(half - obs.radius), (half - obs.radius)
+    c = c.copy()
+    for i in range(2):
+        if c[i] < lo:
+            c[i] = lo + (lo - c[i])
+            v[i] = -v[i]
+        elif c[i] > hi:
+            c[i] = hi - (c[i] - hi)
+            v[i] = -v[i]
+    return ObstacleParams(c, obs.radius, v)
+
+
+def ref_point_segment_distance(p, a, b):
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        return ref_vector_norm(p - a)
+    t = clamp01((p - a) @ ab / denom)
+    return ref_vector_norm(p - (a + t * ab))
+
+
+def _orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def ref_segment_segment_distance(p0, p1, q0, q1):
+    d1, d2 = _orient(q0, q1, p0), _orient(q0, q1, p1)
+    d3, d4 = _orient(p0, p1, q0), _orient(p0, p1, q1)
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
+        return 0.0
+    return min(
+        ref_point_segment_distance(p0, q0, q1),
+        ref_point_segment_distance(p1, q0, q1),
+        ref_point_segment_distance(q0, p0, p1),
+        ref_point_segment_distance(q1, p0, p1),
+    )
+
+
+def ref_touches_disc(world, cfg, obs):
+    if world.robot_kind == "point":
+        gap = ref_vector_norm(world.robot.position - obs.center)
+        return gap <= obs.radius + cfg.robot_radius
+    pts = link_points(world.robot, cfg)
+    reach = obs.radius + cfg.link_radius
+    return any(
+        ref_point_segment_distance(obs.center, pts[i], pts[i + 1]) <= reach
+        for i in range(len(pts) - 1)
+    )
+
+
+def ref_touches_segment(world, cfg, seg):
+    if world.robot_kind == "point":
+        pos = world.robot.position
+        prev = pos - world.robot.velocity * cfg.dt
+        return bool(ref_segment_segment_distance(prev, pos, seg[0], seg[1]) <= cfg.robot_radius)
+    pts = link_points(world.robot, cfg)
+    return any(
+        ref_segment_segment_distance(pts[i], pts[i + 1], seg[0], seg[1]) <= cfg.link_radius
+        for i in range(len(pts) - 1)
+    )
+
+
+def ref_obstacle_clearance(world, cfg, obs):
+    if world.robot_kind == "point":
+        gap = ref_vector_norm(world.robot.position - obs.center)
+        return gap - obs.radius - cfg.robot_radius
+    pts = link_points(world.robot, cfg)
+    gap = min(
+        ref_point_segment_distance(obs.center, pts[i], pts[i + 1])
+        for i in range(len(pts) - 1)
+    )
+    return gap - obs.radius - cfg.link_radius
+
+
+def ref_target_reached(world, cfg):
+    return ref_vector_norm(reference_point(world, cfg) - world.target_position) <= cfg.target_radius
+
+
+def ref_robot_speed(world):
+    if world.robot_kind == "point":
+        return ref_vector_norm(world.robot.velocity)
+    r = world.robot
+    return float(max(np.max(np.abs(r.joint_velocities)), abs(r.base_speed)))
+
+
+def ref_robot_vector(world):
+    r = world.robot
+    if world.robot_kind == "point":
+        return np.concatenate([r.position, r.velocity])
+    return np.concatenate([[r.base_x, r.base_speed], r.joint_angles, r.joint_velocities])
+
+
+def ref_extract(kind, world, cfg, entity_index=0):
+    """One world's view, as the per-world `extract` built it."""
+    ref = reference_point(world, cfg)
+    robot = ref_robot_vector(world)
+    if kind == "reach":
+        return np.concatenate([robot, world.target_position - ref])
+    if kind == "obstacle":
+        obs = _get_obstacle(world, entity_index)
+        return np.concatenate([robot, obs.center - ref, obs.velocity, [obs.radius]])
+    if kind == "door":
+        seg = world.door.segment
+        wait = world.door.time_to_next_open(world.time)
+        return np.concatenate([robot, seg[0] - ref, seg[1] - ref, [wait]])
+    if kind == "speed":
+        return np.concatenate([robot, [world.speed_profile.limit(world.time)]])
+    return np.concatenate([robot, world.disturbance.force])
+
+
+def ref_step(task, world, action):
+    """`step_task` as the array code ran it."""
+    cfg = task.cfg
+    action = np.asarray(action, dtype=np.float64)
+    if not np.isfinite(action).all():
+        raise SimulationFault("non-finite action")
+    commanded = np.clip(action, -task.limits, task.limits)
+    effective = commanded
+    if world.disturbance is not None:
+        push = world.disturbance.force
+        if task.robot == "point":
+            effective = effective + push
+        else:
+            effective = effective + arm_jacobian(world.robot, cfg).T @ push
+    if task.robot == "point":
+        robot = ref_point_integrate(world.robot, effective, cfg)
+    else:
+        robot = ref_arm_integrate(world.robot, effective, cfg)
+    nxt = WorldState(
+        robot, world.target_position, world.time + cfg.dt, world.step_index + 1,
+        [ref_advance_obstacle(o, cfg.dt, cfg.workspace) for o in world.obstacles],
+        world.door, world.speed_profile, world.disturbance,
+    )
+    rewards = [1.0 if ref_target_reached(nxt, cfg) else 0.0]
+    events = ["reached_target"] if rewards[0] == 1.0 else []
+    for spec in task.addons:
+        if spec.kind == "obstacle":
+            touch = ref_touches_disc(nxt, cfg, nxt.obstacles[spec.entity_index])
+            r = OBSTACLE_PENALTY if touch else 0.0
+            event = f"touched_obstacle_{spec.entity_index}"
+        elif spec.kind == "door":
+            closed = not nxt.door.is_open(nxt.time)
+            touch = closed and ref_touches_segment(nxt, cfg, nxt.door.segment)
+            r = DOOR_PENALTY if touch else 0.0
+            event = "touched_door"
+        elif spec.kind == "speed":
+            prof = nxt.speed_profile
+            excess = ref_robot_speed(nxt) - prof.limit(nxt.time)
+            r = -prof.penalty_coeff * max(excess, 0.0)
+            event = "speed_violation"
+        else:
+            r, event = 0.0, None
+        rewards.append(r)
+        if event is not None and r < 0.0:
+            events.append(event)
+    done = rewards[0] == 1.0 or nxt.step_index >= cfg.horizon
+    return nxt, rewards, done, events
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def same_robot(a, b) -> bool:
+    if isinstance(a, PointRobotState):
+        return bits(a.position) == bits(b.position) and bits(a.velocity) == bits(b.velocity)
+    return (
+        bits(a.base_x) == bits(b.base_x)
+        and bits(a.base_speed) == bits(b.base_speed)
+        and bits(a.joint_angles) == bits(b.joint_angles)
+        and bits(a.joint_velocities) == bits(b.joint_velocities)
+    )
+
+
+def same_world(a, b) -> bool:
+    return (
+        same_robot(a.robot, b.robot)
+        and bits(a.time) == bits(b.time)
+        and a.step_index == b.step_index
+        and len(a.obstacles) == len(b.obstacles)
+        and all(
+            bits(o.center) == bits(p.center) and bits(o.velocity) == bits(p.velocity)
+            and o.radius == p.radius
+            for o, p in zip(a.obstacles, b.obstacles)
+        )
+    )
+
+
+def coord(limit: float):
+    """A float in [-limit, limit], often exactly on a wall or a seam."""
+    return st.one_of(
+        st.floats(-limit, limit),
+        st.sampled_from([-limit, limit, 0.0, -0.0, 1.0, -1.0, 0.9, -0.9, 0.97, -0.97]),
+    )
+
+
+def vec(n, limit):
+    return st.lists(coord(limit), min_size=n, max_size=n).map(np.array)
+
+
+CONFIGS = st.sampled_from([
+    SimConfig(),
+    SimConfig(dt=0.1, damping=0.0, mass=2.0, workspace=0.5, joint_inertia=0.3),
+    SimConfig(dt=0.01, damping=1.3, mass=0.7, link_lengths=(0.5, 0.1, 0.3, 0.2)),
+])
+
+POINT_TASKS = ["point_reach", "point_obstacle", "point_two_obstacles", "point_door",
+               "point_speed", "point_force"]
+ARM_TASKS = ["arm_reach", "arm_obstacle", "arm_door", "arm_speed", "arm_force"]
+TASKS = {name: load_stock_task(name).task for name in POINT_TASKS + ARM_TASKS}
+
+
+# ---------------------------------------------------------------------------
+# integrators, clamps and drift
+
+
+class TestIntegrators:
+    @given(pos=vec(2, 1.5), vel=vec(2, 3.0), force=vec(2, 40.0), cfg=CONFIGS)
+    @settings(max_examples=400, deadline=None)
+    def test_point_integrate(self, pos, vel, force, cfg):
+        state = PointRobotState(pos, vel)
+        want = ref_point_integrate(state, force, cfg)
+        assert same_robot(point_integrate(state, force, cfg), want)
+        assert same_robot(point_integrate(state, force.tolist(), cfg), want)
+
+    @given(
+        base=coord(1.5), speed=coord(3.0), angles=vec(4, 10.0), jv=vec(4, 5.0),
+        action=vec(5, 40.0), cfg=CONFIGS,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_arm_integrate(self, base, speed, angles, jv, action, cfg):
+        state = ArticulatedRobotState(base, speed, angles, jv)
+        want = ref_arm_integrate(state, action, cfg)
+        assert same_robot(arm_integrate(state, action, cfg), want)
+        assert same_robot(arm_integrate(state, action.tolist(), cfg), want)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_input_faults_like_the_twin(self, bad):
+        cfg = SimConfig()
+        point = PointRobotState(np.zeros(2), np.zeros(2))
+        arm = ArticulatedRobotState(0.0, 0.0, np.zeros(4), np.zeros(4))
+        for run in (point_integrate, ref_point_integrate):
+            with pytest.raises(SimulationFault):
+                run(point, np.array([bad, 0.0]), cfg)
+        for run in (arm_integrate, ref_arm_integrate):
+            with pytest.raises(SimulationFault):
+                run(arm, np.array([0.0, 0.0, bad, 0.0, 0.0]), cfg)
+        # a state that overflows on the step faults in both too
+        huge = ArticulatedRobotState(0.0, 0.0, np.zeros(4), np.full(4, 1.7e308))
+        for run in (arm_integrate, ref_arm_integrate):
+            with pytest.raises(SimulationFault), np.errstate(over="ignore", invalid="ignore"):
+                run(huge, np.full(5, 1.0), SimConfig(damping=-10.0))
+
+    @given(st.one_of(
+        st.floats(-1e6, 1e6),
+        st.sampled_from([0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -3 * math.pi,
+                         2 * math.pi, -2 * math.pi, 1e-300, -1e-300, 5e-324]),
+    ))
+    @settings(max_examples=400, deadline=None)
+    def test_wrap_angle(self, a):
+        assert bits(wrap_angle(a)) == bits(ref_wrap_angles(np.array([a]))[0])
+
+    @given(center=vec(2, 1.2), vel=vec(2, 2.0), radius=st.sampled_from([0.05, 0.1, 0.3]),
+           dt=st.sampled_from([0.05, 0.1, 0.5]), half=st.sampled_from([1.0, 0.5]))
+    @settings(max_examples=400, deadline=None)
+    def test_advance_obstacle(self, center, vel, radius, dt, half):
+        obs = ObstacleParams(center, radius, vel)
+        got = advance_obstacle(obs, dt, half)
+        want = ref_advance_obstacle(obs, dt, half)
+        assert bits(got.center) == bits(want.center)
+        assert bits(got.velocity) == bits(want.velocity)
+        assert got.radius == want.radius
+
+
+# ---------------------------------------------------------------------------
+# contact predicates and views
+
+
+def point_state():
+    return st.builds(PointRobotState, vec(2, 1.2), vec(2, 3.0))
+
+
+def arm_state():
+    return st.builds(ArticulatedRobotState, coord(1.2), coord(2.0), vec(4, 4.0), vec(4, 3.0))
+
+
+class TestPredicates:
+    @given(
+        p=vec(2, 1.0), a=vec(2, 1.0), b=vec(2, 1.0), degenerate=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_point_segment_distance(self, p, a, b, degenerate):
+        if degenerate:
+            b = a.copy()
+        want = ref_point_segment_distance(p, a, b)
+        assert bits(point_segment_distance(p, a, b)) == bits(want)
+        assert bits(point_segment_distance(p.tolist(), a.tolist(), b.tolist())) == bits(want)
+
+    @given(
+        robot=st.one_of(point_state(), arm_state()),
+        target=vec(2, 1.0),
+        center=vec(2, 1.0),
+        radius=st.sampled_from([0.0, 0.1, 0.25]),
+        seg=vec(4, 1.0).map(lambda v: v.reshape(2, 2)),
+        degenerate=st.booleans(),
+        cfg=CONFIGS,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_contacts(self, robot, target, center, radius, seg, degenerate, cfg):
+        if degenerate:
+            seg = np.array([seg[0], seg[0]])
+        world = WorldState(robot, target)
+        obs = ObstacleParams(center, radius, np.zeros(2))
+        assert robot_touches_disc(world, cfg, obs) == ref_touches_disc(world, cfg, obs)
+        assert robot_touches_segment(world, cfg, seg) == ref_touches_segment(world, cfg, seg)
+        assert target_reached(world, cfg) == ref_target_reached(world, cfg)
+        assert bits(obstacle_clearance(world, cfg, obs)) == bits(
+            ref_obstacle_clearance(world, cfg, obs)
+        )
+        assert bits(robot_speed(world)) == bits(ref_robot_speed(world))
+
+    def test_contacts_at_the_threshold(self):
+        # a gap of exactly the contact range touches, one ulp more does not
+        cfg = SimConfig()
+        reach = 0.1 + cfg.robot_radius
+        for gap in (reach, np.nextafter(reach, 1.0), np.nextafter(reach, 0.0)):
+            world = WorldState(PointRobotState(np.array([gap, 0.0]), np.zeros(2)), np.ones(2))
+            obs = ObstacleParams(np.zeros(2), 0.1, np.zeros(2))
+            assert robot_touches_disc(world, cfg, obs) == ref_touches_disc(world, cfg, obs)
+
+
+def task_worlds(name, seeds, level):
+    task = TASKS[name]
+    return task, [reset(task, level, np.random.default_rng(s)) for s in seeds]
+
+
+class TestViews:
+    @pytest.mark.parametrize("name", POINT_TASKS + ARM_TASKS)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 9), level=st.floats(0.0, 1.0))
+    @settings(max_examples=15, deadline=None)
+    def test_every_kind_matches_per_world_views(self, name, seed, n, level):
+        task, worlds = task_worlds(name, range(seed, seed + n), level)
+        # move the worlds on a little, so time, doors and obstacles vary
+        rng = np.random.default_rng(seed)
+        worlds = [
+            step_task(task, w, rng.uniform(-2, 2, task.action_dim))[0] for w in worlds
+        ]
+        for spec in task.specs:
+            want = np.array([
+                ref_extract(spec.kind, w, task.cfg, spec.entity_index) for w in worlds
+            ])
+            got = spec.extract(worlds)
+            assert got.shape == (n, spec.state_dim)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("robot", ["point", "arm"])
+    @pytest.mark.parametrize("kind", ["reach", "obstacle", "door", "speed", "force"])
+    def test_each_kind_is_one_row_per_world(self, robot, kind):
+        spec = make_attribute(kind, 1, robot, SimConfig())
+        task = TASKS[f"{robot}_{kind}"]
+        _, worlds = task_worlds(f"{robot}_{kind}", range(4), 1.0)
+        assert task.specs[-1].kind == kind
+        rows = spec.extract(worlds)
+        for i, w in enumerate(worlds):
+            assert rows[i].tobytes() == spec.extract([w])[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the whole step
+
+
+def action_for(n):
+    """Actions inside and well beyond the actuator limits, with -0.0."""
+    return st.lists(
+        st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-0.0, 0.0, 1.0, -1.0, 50.0])),
+        min_size=n, max_size=n,
+    ).map(np.array)
+
+
+class TestStepTask:
+    @pytest.mark.parametrize("name", POINT_TASKS + ARM_TASKS)
+    @given(seed=st.integers(0, 10_000), level=st.floats(0.0, 1.0), data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_episode_matches_twin(self, name, seed, level, data):
+        task = TASKS[name]
+        world = reset(task, level, np.random.default_rng(seed))
+        twin = world
+        for _ in range(40):
+            action = data.draw(action_for(task.action_dim))
+            world, rewards, done, events = step_task(task, world, action)
+            twin, want_r, want_done, want_events = ref_step(task, twin, action)
+            assert same_world(world, twin)
+            assert bits(rewards) == bits(want_r)
+            assert (done, events) == (want_done, want_events)
+            if done:
+                break
+
+    @pytest.mark.parametrize("name", ["point_two_obstacles", "point_door", "arm_obstacle"])
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_states_at_and_past_the_walls(self, name, seed, data):
+        task = TASKS[name]
+        world = reset(task, 1.0, np.random.default_rng(seed))
+        half = task.cfg.workspace
+        if task.robot == "point":
+            world.robot = PointRobotState(
+                data.draw(vec(2, half + 0.2)), data.draw(vec(2, 3.0))
+            )
+        else:
+            world.robot = ArticulatedRobotState(
+                data.draw(coord(half + 0.2)), data.draw(coord(3.0)),
+                data.draw(vec(4, 4.0)), data.draw(vec(4, 3.0)),
+            )
+        for o in world.obstacles:
+            lim = half - o.radius + 0.05
+            o.center, o.velocity = data.draw(vec(2, lim)), data.draw(vec(2, 2.0))
+        action = data.draw(action_for(task.action_dim))
+        got = step_task(task, world, action)
+        want = ref_step(task, world, action)
+        assert same_world(got[0], want[0])
+        assert bits(got[1]) == bits(want[1])
+        assert got[2:] == want[2:]

@@ -174,7 +174,7 @@ class ScriptedActor:
                 -1.0,
                 1.0,
             )
-            view = self.task.base.extract(w)
+            view = self.task.base.extract([w])[0]
             forces.append(force)
             trs.append(Transition(view, force, 0.0, view))
         return np.array(forces), trs
@@ -238,7 +238,7 @@ def serial_rollout(actor, task, level, n_steps, seed, episode_offset=0, mode="cl
         rng = episode_rng(seed, TRAIN_STREAM, episode_offset + len(totals))
         total, length = 0.0, 0
         for step in run_episodes(task, actor.act, level, [rng], mode):
-            tr = step.record
+            tr = step.records[step.row]
             tr.reward = float(sum(step.rewards))
             if penalty_coeff > 0.0:
                 tr.reward += compensation_penalty(tr.action, penalty_coeff)
