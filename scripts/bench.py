@@ -1,17 +1,18 @@
 """Collect one benchmark file, BENCH_<label>.json, for a source checkout.
 
-    python3 scripts/bench.py --label NAME [--repo PATH] [--out DIR]
-                             [--seed N] [--seconds S] [--workload W ...]
+    python3 scripts/bench.py --label NAME [--repo PATH]
 
 For each workload in the checkout's BENCHMARK.json this runs
-`benchmark/run.py` twice, each in the checkout itself: once untraced, whose
-medians over rounds are the end-to-end numbers, and once traced (at
-`--seed`), whose middle traced round gives the per-layer numbers.  The
-file holds both, the outputs' sha256 digests of each run (so two checkouts
-can be compared byte for byte), the check results, and the machine: CPU
-model and count, Python, numpy and BLAS builds, and the BLAS thread count
-pinned and reported at run time.  `--repo` defaults to the checkout this
-script lives in and `--out` to the current directory, so
+`benchmark/run.py` twice, each in the checkout itself and with its own
+default seed and seconds: once untraced, whose medians over rounds are the
+end-to-end numbers, and once traced, whose middle traced round gives the
+per-layer numbers.  The file holds both, the seed and seconds the runs
+report, the outputs' sha256 digests of each run (so two checkouts can be
+compared byte for byte), the check results, the checkout's commit and
+whether its tree had uncommitted changes, and the machine: CPU model and
+count, Python, numpy and BLAS builds, and the BLAS thread count pinned and
+reported at run time.  `--repo` defaults to the checkout this script lives
+in, and the file goes to the current directory, so
 
     python3 scripts/bench.py --label before --repo ../parent-checkout
 
@@ -32,12 +33,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 
 
-def run_benchmark(repo: Path, workload: str, seed: int, seconds: int, trace: bool) -> dict:
+def run_benchmark(repo: Path, workload: str, trace: bool) -> dict:
     """One `benchmark/run.py` run; its result line plus its record."""
-    cmd = [
-        sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", str(int(trace)),
-    ]
+    cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--trace", str(int(trace))]
     proc = subprocess.run(cmd, cwd=repo, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd[1:])} exited {proc.returncode}:\n{proc.stderr}")
@@ -48,11 +46,24 @@ def run_benchmark(repo: Path, workload: str, seed: int, seconds: int, trace: boo
     return result
 
 
-def collect(repo: Path, label: str, workloads: list[str], seed: int, seconds: int) -> dict:
-    out: dict = {"label": label, "seed": seed, "seconds": seconds, "workloads": {}}
-    for name in workloads:
-        plain = run_benchmark(repo, name, seed, seconds, trace=False)
-        traced = run_benchmark(repo, name, seed, seconds, trace=True)
+def source_state(repo: Path) -> dict:
+    """The checkout's commit and whether its tree differs from it."""
+    def git(*args: str) -> str | None:
+        proc = subprocess.run(["git", *args], cwd=repo, capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    commit = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {"git_commit": commit, "git_dirty": None if status is None else bool(status)}
+
+
+def collect(repo: Path, label: str) -> dict:
+    spec = json.loads((repo / "BENCHMARK.json").read_text())
+    out: dict = {"label": label, "workloads": {}}
+    for name in (w["name"] for w in spec["workloads"]):
+        plain = run_benchmark(repo, name, trace=False)
+        traced = run_benchmark(repo, name, trace=True)
+        out["seed"], out["seconds"] = plain["record"]["seed"], plain["record"]["seconds"]
         out["workloads"][name] = {
             "correct": plain["correct"] and traced["correct"],
             "attempted": plain["attempted"] + traced["attempted"],
@@ -72,6 +83,7 @@ def collect(repo: Path, label: str, workloads: list[str], seed: int, seconds: in
         "machine": platform.machine(),
         "platform": platform.platform(),
         **plain["record"]["environment"],
+        **source_state(repo),
     }
     return out
 
@@ -80,17 +92,9 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
     ap.add_argument("--repo", type=Path, default=HERE.parent, help="checkout to benchmark")
-    ap.add_argument("--out", type=Path, default=Path("."), help="directory for the file")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=int, default=20, help="per run, as in benchmark/run.py")
-    ap.add_argument("--workload", action="append", default=None,
-                    help="only this workload (repeatable); default all")
     args = ap.parse_args(argv)
-    repo = args.repo.resolve()
-    spec = json.loads((repo / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    result = collect(repo, args.label, workloads, args.seed, args.seconds)
-    path = args.out / f"BENCH_{args.label}.json"
+    result = collect(args.repo.resolve(), args.label)
+    path = Path(f"BENCH_{args.label}.json")
     path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(path)
     return 0
