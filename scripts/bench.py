@@ -3,12 +3,14 @@
     python3 scripts/bench.py --label NAME [--repo PATH]
 
 For each workload in the checkout's BENCHMARK.json this runs
-`benchmark/run.py` twice, each in the checkout itself and with its own
-default seed and seconds: once untraced, whose medians over rounds are the
-end-to-end numbers, and once traced, whose middle traced round gives the
-per-layer numbers.  The file holds both, the seed and seconds the runs
-report, the outputs' sha256 digests of each run (so two checkouts can be
-compared byte for byte), the check results, the checkout's commit and
+`benchmark/run.py` in the checkout itself, with its own default seed and
+seconds: once untraced, whose medians over rounds are the end-to-end
+numbers, and TRACED_RUNS times traced, each of whose middle traced round
+gives one set of per-layer numbers; each per-layer metric in the file is
+the median of those sets, since one traced round is too noisy to rank a
+change by.  The file holds both, the seed and seconds the runs report, the
+outputs' sha256 digests of each run (so two checkouts can be compared byte
+for byte), the check results, the checkout's commit and
 whether its tree had uncommitted changes, and the machine: CPU model and
 count, Python, numpy and BLAS builds, and the BLAS thread count pinned and
 reported at run time.  `--repo` defaults to the checkout this script lives
@@ -26,11 +28,13 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+TRACED_RUNS = 3
 
 
 def run_benchmark(repo: Path, workload: str, trace: bool) -> dict:
@@ -62,20 +66,23 @@ def collect(repo: Path, label: str) -> dict:
     out: dict = {"label": label, "workloads": {}}
     for name in (w["name"] for w in spec["workloads"]):
         plain = run_benchmark(repo, name, trace=False)
-        traced = run_benchmark(repo, name, trace=True)
+        traced = [run_benchmark(repo, name, trace=True) for _ in range(TRACED_RUNS)]
+        runs = [plain, *traced]
         out["seed"], out["seconds"] = plain["record"]["seed"], plain["record"]["seconds"]
         out["workloads"][name] = {
-            "correct": plain["correct"] and traced["correct"],
-            "attempted": plain["attempted"] + traced["attempted"],
-            "failed": plain["failed"] + traced["failed"],
+            "correct": all(r["correct"] for r in runs),
+            "attempted": sum(r["attempted"] for r in runs),
+            "failed": sum(r["failed"] for r in runs),
             "end_to_end": {k: m["value"] for k, m in plain["metrics"].items()},
-            "per_layer": {k: m["value"] for k, m in traced["metrics"].items()},
+            "per_layer": {
+                k: statistics.median(t["metrics"][k]["value"] for t in traced)
+                for k in traced[0]["metrics"]
+            },
             "rounds": len(plain["record"]["rounds"]),
-            "traced_rounds": len(traced["record"]["rounds"]),
+            "traced_rounds": [len(t["record"]["rounds"]) for t in traced],
             "output_sha256": plain["record"]["output_sha256"],
-            "traced_output_sha256": traced["record"]["output_sha256"],
-            "check_errors": plain["record"]["checks"]["errors"]
-            + traced["record"]["checks"]["errors"],
+            "traced_output_sha256": [t["record"]["output_sha256"] for t in traced],
+            "check_errors": [e for r in runs for e in r["record"]["checks"]["errors"]],
         }
         print(f"{name}: wall_s {out['workloads'][name]['end_to_end']['wall_s']:.3f}",
               file=sys.stderr)

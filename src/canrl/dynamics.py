@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -59,6 +60,13 @@ class SimConfig:
     workspace: float = 1.0  # half-width of the square arena
     robot_radius: float = 0.03
     link_radius: float = 0.03
+
+    @cached_property
+    def link_array(self) -> np.ndarray:
+        """`link_lengths` as a read-only float array, built once."""
+        lengths = np.asarray(self.link_lengths, dtype=np.float64)
+        lengths.flags.writeable = False
+        return lengths
 
 
 @dataclass
@@ -181,12 +189,10 @@ def arm_points(state: ArticulatedRobotState, cfg: SimConfig) -> np.ndarray:
     Angles are cumulative; at all-zero angles the arm points straight up.
     """
     cum = np.cumsum(state.joint_angles)
-    steps = np.asarray(cfg.link_lengths)[:, None] * np.stack(
-        [np.sin(cum), np.cos(cum)], axis=1
-    )
     pts = np.empty((len(cfg.link_lengths) + 1, 2))
     pts[0] = (state.base_x, 0.0)
-    pts[1:] = pts[0] + np.cumsum(steps, axis=0)
+    pts[1:, 0] = state.base_x + np.cumsum(cfg.link_array * np.sin(cum))
+    pts[1:, 1] = 0.0 + np.cumsum(cfg.link_array * np.cos(cum))
     return pts
 
 
@@ -208,7 +214,7 @@ def end_effector(state: ArticulatedRobotState, cfg: SimConfig) -> np.ndarray:
 def arm_jacobian(state: ArticulatedRobotState, cfg: SimConfig) -> np.ndarray:
     """d(effector)/d(base_x, joint angles), shape (2, 5)."""
     cum = np.cumsum(state.joint_angles)
-    lengths = np.asarray(cfg.link_lengths)
+    lengths = cfg.link_array
     jac = np.zeros((2, 5))
     jac[0, 0] = 1.0
     for j in range(4):

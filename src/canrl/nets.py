@@ -2,9 +2,11 @@
 Gaussian policy head, and the Adam optimizer.
 
 Everything runs in float64 so finite-difference gradient checks are
-meaningful.  Forward passes never mutate the network; an optimizer step
-updates the arrays that `parameters()` returns in place, so the nets
-train without copying their weights back.
+meaningful.  Forward passes never mutate the network.  A trained actor's
+parameters live in one flat buffer (`pack_parameters`) whose reshaped views
+are the nets' weights, biases and `log_std`; `backward_cached` and the loss
+write into views of a matching gradient buffer, and `adam_step` checks that
+buffer once, then updates the whole parameter buffer with in-place ufuncs.
 """
 
 from __future__ import annotations
@@ -97,29 +99,24 @@ class DenseNet:
         return h, acts
 
     def backward_cached(
-        self, acts: list[np.ndarray], upstream: np.ndarray
-    ) -> tuple[list[np.ndarray], np.ndarray]:
-        """Gradients of sum_t out_t . upstream_t w.r.t. params and input.
-
-        Returns ([dW0, db0, dW1, db1, ...], dL/dx).
-        """
+        self, acts: list[np.ndarray], upstream: np.ndarray, grads: list[np.ndarray]
+    ) -> None:
+        """Gradients of sum_t out_t . upstream_t w.r.t. the parameters,
+        written into `grads`, shaped like [W0, b0, W1, b1, ...]."""
         g = np.asarray(upstream, dtype=np.float64)
         n = len(self.weights)
-        grads: list[np.ndarray | None] = [None] * (2 * n)
         for i in range(n - 1, -1, -1):
-            dz = g if i == n - 1 else g * (1.0 - acts[i + 1] ** 2)
-            grads[2 * i] = acts[i].T @ dz
-            grads[2 * i + 1] = dz.sum(axis=0)
-            g = dz @ self.weights[i].T
-        return grads, g  # type: ignore[return-value]
+            if i < n - 1:  # g * (1 - a**2), in one scratch array
+                s = np.square(acts[i + 1])
+                g = np.multiply(g, np.subtract(1.0, s, out=s), out=s)
+            np.matmul(acts[i].T, g, out=grads[2 * i])
+            np.sum(g, axis=0, out=grads[2 * i + 1])
+            if i > 0:  # nothing reads the input gradient
+                g = g @ self.weights[i].T
 
     def parameters(self) -> list[np.ndarray]:
         """The net's own arrays, [W0, b0, W1, b1, ...]; writes go through."""
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [a for wb in zip(self.weights, self.biases) for a in wb]
 
     def to_dict(self) -> dict:
         return {
@@ -234,43 +231,58 @@ class GaussianPolicy:
         return cls(net, log_std)
 
 
+def pack_parameters(
+    policy: GaussianPolicy, value_net: DenseNet
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Copy [*policy.parameters(), *value_net.parameters()] into one float64
+    buffer and rebind the nets' weights, biases and `log_std` to reshaped
+    views of it.  Returns (params, grads, grad_views): the buffer, a zeroed
+    gradient buffer of its size, and views of that shaped like the parameters."""
+    arrays = [*policy.parameters(), *value_net.parameters()]
+    params = np.concatenate([a.ravel() for a in arrays])
+    grads = np.zeros_like(params)
+    ends = np.cumsum([a.size for a in arrays]).tolist()
+    spans = [(e - a.size, e, a.shape) for a, e in zip(arrays, ends)]
+    p, g = ([buf[lo:hi].reshape(shape) for lo, hi, shape in spans] for buf in (params, grads))
+    k = 2 * len(policy.mean_net.weights)
+    policy.mean_net.weights[:], policy.mean_net.biases[:] = p[0:k:2], p[1:k:2]
+    policy.log_std = p[k]
+    value_net.weights[:], value_net.biases[:] = p[k + 1 :: 2], p[k + 2 :: 2]
+    return params, grads, g
+
+
 @dataclass
 class AdamState:
-    """Adam moments for one flat list of parameter arrays.
+    """Adam moments and two scratch arrays for one flat parameter buffer."""
 
-    `adam_step` updates the moments and the parameter arrays in place.
-    """
-
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
+    first_moment: np.ndarray
+    second_moment: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]
     lr: float = 1e-4
     step_count: int = 0
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], lr: float = 1e-4) -> "AdamState":
-        return cls(
-            [np.zeros_like(p) for p in params],
-            [np.zeros_like(p) for p in params],
-            lr=lr,
-        )
+    def for_params(cls, params: np.ndarray, lr: float = 1e-4) -> "AdamState":
+        m, v, s, u = (np.zeros_like(params) for _ in range(4))
+        return cls(m, v, (s, u), lr=lr)
 
 
-def adam_step(
-    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
-) -> None:
-    """One Adam update with bias correction, written into `params`."""
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
-        raise DimensionError("params/grads/state length mismatch")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError("non-finite gradient")
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of the flat buffer `params`, in place."""
+    if params.shape != grads.shape or params.shape != state.first_moment.shape:
+        raise DimensionError("params/grads/state shape mismatch")
+    if not np.isfinite(grads).all():
+        raise DivergenceError("non-finite gradient")
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    m, v, (s, u) = state.first_moment, state.second_moment, state.scratch
+    # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
+    # p -= (lr*(m/c1)) / (sqrt(v/c2) + eps), in that order, in place
+    m *= ADAM_BETA1
+    m += np.multiply(grads, 1.0 - ADAM_BETA1, out=s)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(grads, 1.0 - ADAM_BETA2, out=s), grads, out=s)
+    denom = np.add(np.sqrt(np.divide(v, c2, out=s), out=s), ADAM_EPS, out=s)
+    params -= np.divide(np.multiply(np.divide(m, c1, out=u), state.lr, out=u), denom, out=u)

@@ -34,13 +34,14 @@ from .curriculum import (
 )
 from .errors import DimensionError, DivergenceError
 from .nets import (
+    LOG_2PI,
     SIGMA_MAX,
     SIGMA_MIN,
     AdamState,
     DenseNet,
     GaussianPolicy,
     adam_step,
-    gaussian_log_prob,
+    pack_parameters,
 )
 
 TRAIN_STREAM = 1
@@ -224,15 +225,16 @@ def compute_gae(
     dones = np.asarray(dones, dtype=np.float64)
     if not (rewards.shape == values.shape == dones.shape):
         raise DimensionError("rewards/values/dones must share a shape")
-    n = len(rewards)
-    adv = np.zeros(n)
+    # the same recurrence on Python floats, which round as numpy does
+    r, v, d = rewards.tolist(), [*values.tolist(), last_value], dones.tolist()
+    adv = [0.0] * len(r)
     acc = 0.0
-    for t in range(n - 1, -1, -1):
-        cont = 1.0 - dones[t]
-        next_value = values[t + 1] if t + 1 < n else last_value
-        delta = rewards[t] + discount * next_value * cont - values[t]
+    for t in range(len(r) - 1, -1, -1):
+        cont = 1.0 - d[t]
+        delta = r[t] + discount * v[t + 1] * cont - v[t]
         acc = delta + discount * lam * cont * acc
         adv[t] = acc
+    adv = np.array(adv)
     return adv, adv + values
 
 
@@ -245,21 +247,26 @@ def ppo_loss(
     policy: GaussianPolicy,
     value_net: DenseNet,
     cfg: PPOConfig,
+    grads: list[np.ndarray] | None = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray], dict]:
     """Clipped surrogate + value MSE + entropy bonus, with gradients for
-    every policy and critic parameter."""
-    x = batch["policy_inputs"]
-    u = batch["actions"]
-    lp_old = batch["log_probs"]
-    adv = batch["advantages"]
-    ret = batch["returns"]
-    xv = batch["critic_inputs"]
+    every policy and critic parameter, written into `grads` (arrays shaped
+    like [*policy.parameters(), *value_net.parameters()], fresh if None)
+    and returned split into the policy's and the critic's."""
+    x, u, lp_old = batch["policy_inputs"], batch["actions"], batch["log_probs"]
+    adv, ret, xv = batch["advantages"], batch["returns"], batch["critic_inputs"]
     n = x.shape[0]
+    if grads is None:
+        grads = [np.empty_like(p) for p in (*policy.parameters(), *value_net.parameters())]
+    k = 2 * len(policy.mean_net.weights)
+    d_log_std, value_grads = grads[k], grads[k + 1 :]
 
     mean, acts = policy.mean_net.forward_cached(x)
     sigma = policy.std()
     z = (u - mean) / sigma
-    lp_new = gaussian_log_prob(mean, sigma, u)
+    zz = z * z
+    # gaussian_log_prob(mean, sigma, u), in its order, on the z in hand
+    lp_new = -0.5 * np.sum(zz, axis=-1) - np.sum(np.log(sigma)) - 0.5 * mean.shape[-1] * LOG_2PI
     ratio = np.exp(lp_new - lp_old)
     unclipped = ratio * adv
     clipped = np.clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * adv
@@ -269,27 +276,24 @@ def ppo_loss(
     # gradient flows through the unclipped branch wherever it is the min
     active = (unclipped <= clipped).astype(np.float64)
     d_lp = -(adv * ratio * active) / n
-    d_mean = d_lp[:, None] * (z / sigma)
-    mean_grads, _ = policy.mean_net.backward_cached(acts, d_mean)
+    policy.mean_net.backward_cached(acts, d_lp[:, None] * (z / sigma), grads[:k])
 
     # sigma clamp stops the log-std gradient outside (SIGMA_MIN, SIGMA_MAX)
     raw_sigma = np.exp(policy.log_std)
     clamp_open = ((raw_sigma > SIGMA_MIN) & (raw_sigma < SIGMA_MAX)).astype(np.float64)
-    d_log_std = (d_lp[:, None] * (z * z - 1.0)).sum(axis=0)
+    np.sum(d_lp[:, None] * (zz - 1.0), axis=0, out=d_log_std)
 
     entropy = policy.entropy()
-    entropy_loss = -cfg.entropy_coeff * entropy
-    d_log_std = (d_log_std - cfg.entropy_coeff) * clamp_open
+    d_log_std -= cfg.entropy_coeff
+    d_log_std *= clamp_open
 
     v, v_acts = value_net.forward_cached(xv)
-    v = v[:, 0]
-    diff = v - ret
+    diff = v[:, 0] - ret
     value_mse = float(np.mean(diff * diff))
-    value_loss = cfg.value_coeff * value_mse
     d_v = (2.0 * cfg.value_coeff / n) * diff
-    value_grads, _ = value_net.backward_cached(v_acts, d_v[:, None])
+    value_net.backward_cached(v_acts, d_v[:, None], value_grads)
 
-    loss = policy_loss + value_loss + entropy_loss
+    loss = policy_loss + cfg.value_coeff * value_mse - cfg.entropy_coeff * entropy
     if not np.isfinite(loss):
         raise DivergenceError(f"non-finite loss {loss!r}")
 
@@ -300,7 +304,7 @@ def ppo_loss(
         "kl": float(np.mean(lp_old - lp_new)),
         "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > cfg.clip_epsilon)),
     }
-    return loss, [*mean_grads, d_log_std], value_grads, stats
+    return loss, grads[: k + 1], value_grads, stats
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +345,7 @@ def _train_loop(
     progress: Callable[[IterationLog], None] | None = None,
     stop_at_terminal: bool = True,
 ) -> tuple[list[IterationLog], CurriculumState, int | None, int]:
-    params = [*actor.policy.parameters(), *actor.value_net.parameters()]
+    params, grad_buffer, grads = pack_parameters(actor.policy, actor.value_net)
     adam = AdamState.for_params(params, lr=ppo_cfg.lr)
     cur = CurriculumState.from_config(cur_cfg)
     shuffle_rng = episode_rng(seed, SHUFFLE_STREAM, 0)
@@ -369,7 +373,10 @@ def _train_loop(
         adv, ret = compute_gae(
             roll.rewards, values, roll.dones, ppo_cfg.discount, ppo_cfg.gae_lambda
         )
-        nadv = normalize_advantages(adv)
+        columns = dict(
+            policy_inputs=roll.policy_inputs, actions=roll.actions, log_probs=roll.log_probs,
+            advantages=normalize_advantages(adv), returns=ret, critic_inputs=roll.critic_inputs,
+        )
 
         n = roll.n_steps
         stats_acc: list[dict] = []
@@ -378,18 +385,9 @@ def _train_loop(
             epoch_kls = []
             for lo in range(0, n, ppo_cfg.minibatch_size):
                 idx = order[lo : lo + ppo_cfg.minibatch_size]
-                batch = {
-                    "policy_inputs": roll.policy_inputs[idx],
-                    "actions": roll.actions[idx],
-                    "log_probs": roll.log_probs[idx],
-                    "advantages": nadv[idx],
-                    "returns": ret[idx],
-                    "critic_inputs": roll.critic_inputs[idx],
-                }
-                _loss, pol_grads, val_grads, stats = ppo_loss(
-                    batch, actor.policy, actor.value_net, ppo_cfg
-                )
-                adam_step(params, [*pol_grads, *val_grads], adam)
+                batch = {key: col[idx] for key, col in columns.items()}
+                _, _, _, stats = ppo_loss(batch, actor.policy, actor.value_net, ppo_cfg, grads)
+                adam_step(params, grad_buffer, adam)
                 stats_acc.append(stats)
                 epoch_kls.append(stats["kl"])
             if float(np.mean(epoch_kls)) > ppo_cfg.kl_limit:
@@ -401,10 +399,8 @@ def _train_loop(
             episodes=roll.n_episodes,
             random_level=cur.random_level,
             mean_ep_reward=mean_ep,
-            policy_loss=float(np.mean([s["policy_loss"] for s in stats_acc])),
-            value_loss=float(np.mean([s["value_loss"] for s in stats_acc])),
-            entropy=float(np.mean([s["entropy"] for s in stats_acc])),
-            kl=float(np.mean([s["kl"] for s in stats_acc])),
+            **{k: float(np.mean([s[k] for s in stats_acc]))
+               for k in ("policy_loss", "value_loss", "entropy", "kl")},
         )
         log.append(row)
         if progress is not None:
