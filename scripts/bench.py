@@ -5,12 +5,12 @@
 For each workload in the checkout's BENCHMARK.json this runs
 `benchmark/run.py` in the checkout itself, with its own default seed and
 seconds: once untraced, whose medians over rounds are the end-to-end
-numbers, and TRACED_RUNS times traced, each of whose middle traced round
-gives one set of per-layer numbers; each per-layer metric in the file is
-the median of those sets, since one traced round is too noisy to rank a
-change by.  The file holds both, the seed and seconds the runs report, the
-outputs' sha256 digests of each run (so two checkouts can be compared byte
-for byte), the check results, the checkout's commit and
+numbers, and three times traced (`TRACED_RUNS`), the middle traced round
+of each giving one set of per-layer numbers.  Each per-layer metric in the
+file is the median of the three, since one traced round is too noisy to
+rank a change by.  The file holds both, the seed and seconds the runs
+report, the outputs' sha256 digests of each run (so two checkouts can be
+compared byte for byte), the check results, the checkout's commit and
 whether its tree had uncommitted changes, and the machine: CPU model and
 count, Python, numpy and BLAS builds, and the BLAS thread count pinned and
 reported at run time.  `--repo` defaults to the checkout this script lives
