@@ -29,11 +29,13 @@ from .dynamics import (
     arm_jacobian,
     link_points,
     planar_norm,
+    planar_within,
     point_integrate,
     point_segment_distance,
     reference_point,
     robot_speed,
-    segment_segment_distance,
+    segment_within,
+    segments_within,
     wrap_angle,
 )
 from .errors import DimensionError, InfeasibleTaskError, SimulationFault, TaskConfigError
@@ -136,20 +138,16 @@ def advance_obstacle(obs: ObstacleParams, dt: float, half: float) -> ObstaclePar
 
 
 # ---------------------------------------------------------------------------
-# contact predicates
+# contact predicates, filtered (see `canrl.dynamics`); clearance is exact
 
 def robot_touches_disc(world: WorldState, cfg: SimConfig, obs: ObstacleParams) -> bool:
     center = obs.center.tolist()
     if world.robot_kind == "point":
         px, py = world.robot.position.tolist()
-        gap = planar_norm(px - center[0], py - center[1])
-        return gap <= obs.radius + cfg.robot_radius
+        return planar_within(px - center[0], py - center[1], obs.radius + cfg.robot_radius)
     pts = link_points(world.robot, cfg).tolist()
     reach = obs.radius + cfg.link_radius
-    return any(
-        point_segment_distance(center, pts[i], pts[i + 1]) <= reach
-        for i in range(len(pts) - 1)
-    )
+    return any(segment_within(center, a, b, reach) for a, b in zip(pts, pts[1:]))
 
 
 def robot_touches_segment(world: WorldState, cfg: SimConfig, seg: np.ndarray) -> bool:
@@ -160,12 +158,9 @@ def robot_touches_segment(world: WorldState, cfg: SimConfig, seg: np.ndarray) ->
         px, py = world.robot.position.tolist()
         vx, vy = world.robot.velocity.tolist()
         prev = (px - vx * cfg.dt, py - vy * cfg.dt)
-        return segment_segment_distance(prev, (px, py), q0, q1) <= cfg.robot_radius
+        return segments_within(prev, (px, py), q0, q1, cfg.robot_radius)
     pts = link_points(world.robot, cfg).tolist()
-    return any(
-        segment_segment_distance(pts[i], pts[i + 1], q0, q1) <= cfg.link_radius
-        for i in range(len(pts) - 1)
-    )
+    return any(segments_within(a, b, q0, q1, cfg.link_radius) for a, b in zip(pts, pts[1:]))
 
 
 def obstacle_clearance(world: WorldState, cfg: SimConfig, obs: ObstacleParams) -> float:
@@ -176,17 +171,14 @@ def obstacle_clearance(world: WorldState, cfg: SimConfig, obs: ObstacleParams) -
         gap = planar_norm(px - center[0], py - center[1])
         return gap - obs.radius - cfg.robot_radius
     pts = link_points(world.robot, cfg).tolist()
-    gap = min(
-        point_segment_distance(center, pts[i], pts[i + 1])
-        for i in range(len(pts) - 1)
-    )
+    gap = min(point_segment_distance(center, a, b) for a, b in zip(pts, pts[1:]))
     return gap - obs.radius - cfg.link_radius
 
 
 def target_reached(world: WorldState, cfg: SimConfig) -> bool:
     rx, ry = reference_point(world, cfg).tolist()
     tx, ty = world.target_position.tolist()
-    return planar_norm(rx - tx, ry - ty) <= cfg.target_radius
+    return planar_within(rx - tx, ry - ty, cfg.target_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +211,17 @@ class AttributeSpec:
     """One attribute: id, minimal state view, reward, and an optional
     action-space dynamics hook.
 
-    `extract(worlds)` returns the (E, state_dim) views of a batch of
-    worlds, one row per world.  `reward(world, action)` scores one world
-    after a step and `dynamics_effect(world, action)` maps one world's
-    command (a list of floats) to the list the dynamics integrate.
+    `extract(worlds, columns=None)` returns the (E, state_dim) views of a
+    batch of worlds, one row per world, from their `robot_columns` if
+    given.  `reward(world, action)` scores one world after a step and
+    `dynamics_effect(world, action)` maps one world's command (a list of
+    floats) to the list the dynamics integrate.
     """
 
     id: int
     kind: str
     state_dim: int
-    extract: Callable[[Sequence[WorldState]], np.ndarray]
+    extract: Callable[..., np.ndarray]
     reward: Callable[[WorldState, Sequence[float]], float]
     dynamics_effect: Callable[[WorldState, list[float]], list[float]] | None = None
     entity_index: int = 0
@@ -243,7 +236,7 @@ def view_dim(kind: str, robot: str) -> int:
     return base + {"reach": 2, "obstacle": 5, "door": 5, "speed": 1, "force": 2}[kind]
 
 
-def _robot_columns(
+def robot_columns(
     worlds: Sequence[WorldState], robot: str, cfg: SimConfig
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Column blocks that side by side hold each world's robot state
@@ -285,8 +278,8 @@ def make_attribute(
     dim = view_dim(kind, robot)
 
     if kind == "reach":
-        def extract(worlds: Sequence[WorldState]) -> np.ndarray:
-            state, ref = _robot_columns(worlds, robot, cfg)
+        def extract(worlds: Sequence[WorldState], columns=None) -> np.ndarray:
+            state, ref = columns or robot_columns(worlds, robot, cfg)
             target = np.array([w.target_position for w in worlds])
             return np.concatenate([*state, target - ref], axis=1)
 
@@ -296,9 +289,9 @@ def make_attribute(
         return AttributeSpec(attr_id, kind, dim, extract, reward)
 
     if kind == "obstacle":
-        def extract(worlds: Sequence[WorldState]) -> np.ndarray:
+        def extract(worlds: Sequence[WorldState], columns=None) -> np.ndarray:
             obs = [_get_obstacle(w, entity_index) for w in worlds]
-            state, ref = _robot_columns(worlds, robot, cfg)
+            state, ref = columns or robot_columns(worlds, robot, cfg)
             center = np.array([o.center for o in obs])
             vel = np.array([o.velocity for o in obs])
             radius = _column([o.radius for o in obs])
@@ -310,9 +303,9 @@ def make_attribute(
         return AttributeSpec(attr_id, kind, dim, extract, reward, entity_index=entity_index)
 
     if kind == "door":
-        def extract(worlds: Sequence[WorldState]) -> np.ndarray:
+        def extract(worlds: Sequence[WorldState], columns=None) -> np.ndarray:
             _require(worlds, "door", "a door")
-            state, ref = _robot_columns(worlds, robot, cfg)
+            state, ref = columns or robot_columns(worlds, robot, cfg)
             seg = np.array([w.door.segment for w in worlds])
             wait = _column([w.door.time_to_next_open(w.time) for w in worlds])
             return np.concatenate([*state, seg[:, 0] - ref, seg[:, 1] - ref, wait], axis=1)
@@ -325,9 +318,9 @@ def make_attribute(
         return AttributeSpec(attr_id, kind, dim, extract, reward)
 
     if kind == "speed":
-        def extract(worlds: Sequence[WorldState]) -> np.ndarray:
+        def extract(worlds: Sequence[WorldState], columns=None) -> np.ndarray:
             _require(worlds, "speed_profile", "a speed profile")
-            state, _ = _robot_columns(worlds, robot, cfg)
+            state, _ = columns or robot_columns(worlds, robot, cfg)
             lim = _column([w.speed_profile.limit(w.time) for w in worlds])
             return np.concatenate([*state, lim], axis=1)
 
@@ -339,9 +332,9 @@ def make_attribute(
         return AttributeSpec(attr_id, kind, dim, extract, reward)
 
     # force
-    def extract(worlds: Sequence[WorldState]) -> np.ndarray:
+    def extract(worlds: Sequence[WorldState], columns=None) -> np.ndarray:
         _require(worlds, "disturbance", "a disturbance")
-        state, _ = _robot_columns(worlds, robot, cfg)
+        state, _ = columns or robot_columns(worlds, robot, cfg)
         push = np.array([w.disturbance.force for w in worlds])
         return np.concatenate([*state, push], axis=1)
 
@@ -388,7 +381,7 @@ class Task:
     addons: list[AttributeSpec]
     addon_setups: list[AddonSetup]
 
-    @property
+    @cached_property
     def specs(self) -> list[AttributeSpec]:
         return [self.base, *self.addons]
 
@@ -425,7 +418,8 @@ def build_task(robot: str, cfg: SimConfig, nominal: Nominal, addons: list[AddonS
 def full_view(task: Task, worlds: Sequence[WorldState]) -> np.ndarray:
     """Every attribute view side by side, (E, full_view_dim); the
     flat-baseline observation."""
-    return np.concatenate([spec.extract(worlds) for spec in task.specs], axis=1)
+    columns = robot_columns(worlds, task.robot, task.cfg)
+    return np.concatenate([spec.extract(worlds, columns) for spec in task.specs], axis=1)
 
 
 def full_view_dim(task: Task) -> int:

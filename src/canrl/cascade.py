@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .attributes import AttributeSpec, make_attribute
+from .attributes import AttributeSpec, make_attribute, robot_columns
 from .dynamics import SimConfig, WorldState, action_dim, action_limits
 from .errors import TaskConfigError
 from .nets import DenseNet, GaussianPolicy
@@ -62,6 +63,13 @@ class CascadePolicy:
     @property
     def robot(self) -> str:
         return self.base.robot
+
+    @cached_property
+    def limits(self) -> np.ndarray:
+        """Actuator limits, computed once per stack and never written."""
+        lim = action_limits(self.robot, self.cfg)
+        lim.flags.writeable = False
+        return lim
 
 
 @dataclass
@@ -117,17 +125,17 @@ def cascade_act(
     """
     if explore is not None and rngs is None:
         raise ValueError("an exploring head needs rngs")
-    base_view = cascade.base_spec.extract(worlds)
+    columns = robot_columns(worlds, cascade.robot, cascade.cfg)
+    base_view = cascade.base_spec.extract(worlds, columns)
     current, log_prob = _head(cascade.base.policy, base_view, rngs, explore == 0)
     rec = CascadeStepRecord(base_view, current, log_prob=log_prob)
-    limits = action_limits(cascade.robot, cascade.cfg)
     for i, (module, spec) in enumerate(zip(cascade.modules, cascade.module_specs), 1):
-        view = spec.extract(worlds)
+        view = spec.extract(worlds, columns)
         comp_in = np.concatenate([view, current], axis=1)
         comp, log_prob = _head(module.comp_policy, comp_in, rngs, explore == i)
         if log_prob is not None:
             rec.log_prob = log_prob
-        current = combine(current, comp, module.weight, limits)
+        current = combine(current, comp, module.weight, cascade.limits)
         rec.views.append(view)
         rec.comp_inputs.append(comp_in)
         rec.comp_actions.append(comp)

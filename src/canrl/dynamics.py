@@ -17,10 +17,25 @@ numpy calls on 2- and 4-vectors and gives numpy's bits:
   bits of `np.clip` for finite x;
 - `np.ceil` keeps the sign of a zero result, which `math.ceil` drops, so
   `wrap_angle` restores it;
-- 2-vector norms and projections stay on `ndarray.dot`: BLAS may fuse
-  the multiply-add (`fma(y, y, x*x)`), and `x*x + y*y` can then differ
-  in the last bit (`planar_norm`, `point_segment_distance`);
+- 2-vector norms and projections whose value is read stay on
+  `ndarray.dot`: BLAS may fuse the multiply-add (`fma(y, y, x*x)`), and
+  `x*x + y*y` can then differ in the last bit (`planar_norm`,
+  `point_segment_distance`);
 - `sin`, `cos`, `cumsum` and `tanh` stay in numpy.
+
+Contact and target predicates only compare a distance g with a radius,
+so `planar_within` and `segment_within` filter them (Shewchuk 1997):
+they decide on Python floats when g lies outside a proven band around
+the radius, else on the exact `ndarray.dot` form.  With u = 2**-53, a
+2-vector norm, fused or not, is within 2u of the real one (u for the sum
+of squares, halved by the root, u for the root), so the forms differ by
+4u * g.  A point-segment distance whose coordinates' magnitudes sum to S
+is within 14u * S per form (the projection 3u|ab| + 2u|p - a|, the
+rebuilt gap u(|p| + 2|a| + 3|ab|), the norm 2u * g), so the forms differ
+by 30u * S.  Underflow adds a few 1e-162, which the `1.0 +` in the band
+covers; nothing overflows below `FILTER_RANGE`, and inf and NaN take the
+exact form.  `FILTER = 1e-12` is 2000x the norm bound and 300x the
+segment bound.
 """
 
 from __future__ import annotations
@@ -44,6 +59,8 @@ POINT_ACTION_DIM = 2
 ARM_ACTION_DIM = 5
 
 TWO_PI = 2.0 * math.pi
+FILTER = 1e-12
+FILTER_RANGE = 1e150
 
 
 @dataclass(frozen=True)
@@ -126,6 +143,14 @@ def planar_norm(x: float, y: float) -> float:
     np.linalg.norm, which computes sqrt(d.d) for this case."""
     d = np.array((x, y))
     return math.sqrt(d.dot(d))
+
+
+def planar_within(x: float, y: float, r: float) -> bool:
+    """`planar_norm(x, y) <= r`, on Python floats outside the filter band."""
+    g = math.sqrt(x * x + y * y)
+    if g < FILTER_RANGE and abs(g - r) > FILTER * (1.0 + g):
+        return g <= r
+    return planar_norm(x, y) <= r
 
 
 def _clamp_to_wall(x: float, v: float, half: float) -> tuple[float, float]:
@@ -260,26 +285,36 @@ def point_segment_distance(
     return planar_norm(px - (ax + t * abx), py - (ay + t * aby))
 
 
+def segment_within(p: Sequence[float], a: Sequence[float], b: Sequence[float], r: float) -> bool:
+    """`point_segment_distance(p, a, b) <= r`, on Python floats outside the
+    filter band; a zero-length segment takes the exact form."""
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    abx, aby = bx - ax, by - ay
+    denom = abx * abx + aby * aby
+    scale = abs(px) + abs(py) + abs(ax) + abs(ay) + abs(bx) + abs(by)
+    if denom != 0.0 and scale < FILTER_RANGE:
+        t = ((px - ax) * abx + (py - ay) * aby) / denom
+        t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+        ex, ey = px - (ax + t * abx), py - (ay + t * aby)
+        g = math.sqrt(ex * ex + ey * ey)
+        if abs(g - r) > FILTER * (1.0 + scale):
+            return g <= r
+    return point_segment_distance(p, a, b) <= r
+
+
 def _orient(a, b, c) -> float:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def segments_intersect(p0, p1, q0, q1) -> bool:
-    d1 = _orient(q0, q1, p0)
-    d2 = _orient(q0, q1, p1)
-    d3 = _orient(p0, p1, q0)
-    d4 = _orient(p0, p1, q1)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return True
-    return False
-
-
-def segment_segment_distance(p0, p1, q0, q1) -> float:
-    if segments_intersect(p0, p1, q0, q1):
-        return 0.0
-    return min(
-        point_segment_distance(p0, q0, q1),
-        point_segment_distance(p1, q0, q1),
-        point_segment_distance(q0, p0, p1),
-        point_segment_distance(q1, p0, p1),
+def segments_within(p0, p1, q0, q1, r: float) -> bool:
+    """Whether segments p0p1 and q0q1 cross, or an endpoint of one lies
+    within r >= 0 of the other."""
+    d1, d2 = _orient(q0, q1, p0), _orient(q0, q1, p1)
+    d3, d4 = _orient(p0, p1, q0), _orient(p0, p1, q1)
+    return 0.0 <= r and (
+        ((d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0))
+        or segment_within(p0, q0, q1, r)
+        or segment_within(p1, q0, q1, r)
+        or segment_within(q0, p0, p1, r)
+        or segment_within(q1, p0, p1, r)
     )

@@ -20,7 +20,7 @@ from canrl.cascade import (
     weight_schedule,
 )
 from canrl.attributes import reset
-from canrl.dynamics import SimConfig
+from canrl.dynamics import SimConfig, action_limits
 from canrl.errors import TaskConfigError
 from canrl.nets import DenseNet, GaussianPolicy, gaussian_log_prob
 from canrl.taskio import load_stock_task, point_sim_config
@@ -189,6 +189,41 @@ class TestActs:
                      *rec1.comp_actions, *rec1.stack_actions],
                 ):
                     assert x[i].tobytes() == y[0].tobytes()
+
+    def test_robot_columns_gathered_once_per_tick(self, monkeypatch):
+        # the base view and both obstacle views share one gather, and the
+        # views equal those each builds alone
+        import canrl.cascade as cascade_mod
+
+        loaded = load_stock_task("point_two_obstacles")
+        worlds = [reset(loaded.task, 1.0, np.random.default_rng(s)) for s in range(4)]
+        cascade = make_cascade(
+            fresh_base(), [fresh_module(seed=1), fresh_module(seed=2, entity_index=1)], CFG
+        )
+        calls = []
+        gather = cascade_mod.robot_columns
+        monkeypatch.setattr(
+            cascade_mod, "robot_columns", lambda *a: calls.append(1) or gather(*a)
+        )
+        _, rec = cascade_act(cascade, worlds)
+        assert len(calls) == 1
+        assert rec.base_view.tobytes() == cascade.base_spec.extract(worlds).tobytes()
+        for view, spec in zip(rec.views, cascade.module_specs):
+            assert view.tobytes() == spec.extract(worlds).tobytes()
+
+
+class TestLimits:
+    @pytest.mark.parametrize("robot", ["point", "arm"])
+    def test_cached_limits_are_read_only(self, robot):
+        cfg = SimConfig(force_limit=2.0, torque_limit=0.5)
+        cascade = make_cascade(fresh_base(robot=robot), [], cfg)
+        lim = cascade.limits
+        assert lim is cascade.limits
+        assert lim.tobytes() == action_limits(robot, cfg).tobytes()
+        assert not lim.flags.writeable
+        with pytest.raises(ValueError):
+            lim[0] = 9.0
+        assert lim.tobytes() == action_limits(robot, cfg).tobytes()
 
 
 class TestCombine:

@@ -22,7 +22,7 @@ from canrl.dynamics import (
     point_integrate,
     point_segment_distance,
     robot_speed,
-    segment_segment_distance,
+    segments_within,
     wrap_angle,
 )
 from canrl.errors import DimensionError, SimulationFault
@@ -333,18 +333,16 @@ class TestGeometry:
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_crossing_segments_have_zero_distance(self):
-        d = segment_segment_distance(
-            np.array([-1.0, 0.0]), np.array([1.0, 0.0]),
-            np.array([0.0, -1.0]), np.array([0.0, 1.0]),
-        )
-        assert d == 0.0
+        cross = ([-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0])
+        assert segments_within(*cross, 0.0)
+        assert not segments_within(*cross, -1e-300)
 
     def test_parallel_segments(self):
-        d = segment_segment_distance(
-            np.array([0.0, 0.0]), np.array([1.0, 0.0]),
-            np.array([0.0, 0.5]), np.array([1.0, 0.5]),
-        )
-        assert d == pytest.approx(0.5)
+        # 0.5 apart: within 0.5 exactly, not within one ulp less
+        pair = ([0.0, 0.0], [1.0, 0.0], [0.0, 0.5], [1.0, 0.5])
+        assert segments_within(*pair, 0.5)
+        assert not segments_within(*pair, np.nextafter(0.5, 0.0))
+        assert not segments_within(*pair, 0.49)
 
 
 class TestSpeed:

@@ -4,6 +4,8 @@ The twins below are the numpy array code the step path ran before it
 moved to Python floats: integrators, wall and rail clamps, obstacle
 drift, contact predicates, the per-world attribute views and the whole
 `step_task`.  Every test checks the kernel against its twin bit for bit.
+The filtered contact predicates are checked against the exact comparison
+they stand for, with radii placed within a few ulps of the distance.
 """
 
 import math
@@ -19,14 +21,17 @@ from canrl.attributes import (
     ObstacleParams,
     _get_obstacle,
     advance_obstacle,
+    full_view,
     make_attribute,
     obstacle_clearance,
     reset,
     robot_touches_disc,
+    robot_columns,
     robot_touches_segment,
     step_task,
     target_reached,
 )
+from canrl import dynamics
 from canrl.dynamics import (
     ArticulatedRobotState,
     PointRobotState,
@@ -36,10 +41,14 @@ from canrl.dynamics import (
     arm_jacobian,
     clamp01,
     link_points,
+    planar_norm,
+    planar_within,
     point_integrate,
     point_segment_distance,
     reference_point,
     robot_speed,
+    segment_within,
+    segments_within,
     wrap_angle,
 )
 from canrl.errors import SimulationFault
@@ -436,6 +445,164 @@ class TestPredicates:
             obs = ObstacleParams(np.zeros(2), 0.1, np.zeros(2))
             assert robot_touches_disc(world, cfg, obs) == ref_touches_disc(world, cfg, obs)
 
+    def test_door_contact_at_the_threshold(self):
+        # a point robot and an arm standing parallel to a door, at the
+        # contact range, an ulp either side and 1e-9 either side
+        cfg = SimConfig()
+        door = np.array([[0.0, -0.5], [0.0, 0.5]])
+        for robot_kind, contact in (("point", cfg.robot_radius), ("arm", cfg.link_radius)):
+            seen = []
+            for gap in near_radii(contact):
+                if robot_kind == "point":
+                    robot = PointRobotState(np.array([gap, 0.0]), np.zeros(2))
+                else:
+                    robot = ArticulatedRobotState(-gap, 0.0, np.zeros(4), np.zeros(4))
+                world = WorldState(robot, np.ones(2))
+                got = robot_touches_segment(world, cfg, door)
+                assert got == ref_touches_segment(world, cfg, door)
+                seen.append(got)
+            assert seen[-2:] == [False, True]  # 1e-9 past the range, 1e-9 inside
+        # a fast point robot that crossed the door within the step touches it
+        world = WorldState(PointRobotState(np.array([0.05, 0.0]), np.array([2.0, 0.0])), np.ones(2))
+        assert robot_touches_segment(world, cfg, door) and ref_touches_segment(world, cfg, door)
+
+    def test_arm_contact_at_the_threshold(self):
+        # an upright arm's third link beside a disc, at the contact range,
+        # an ulp either side and 1e-9 either side
+        cfg = SimConfig()
+        arm = ArticulatedRobotState(0.0, 0.0, np.zeros(4), np.zeros(4))
+        world = WorldState(arm, np.ones(2))
+        seen = []
+        for gap in near_radii(0.1 + cfg.link_radius):
+            obs = ObstacleParams(np.array([gap, 0.6]), 0.1, np.zeros(2))
+            got = robot_touches_disc(world, cfg, obs)
+            assert got == ref_touches_disc(world, cfg, obs)
+            seen.append(got)
+        assert seen[-2:] == [False, True]
+
+
+def near_radii(r):
+    """r, an ulp either side, then 1e-9 past and 1e-9 inside."""
+    return [r, np.nextafter(r, 1.0), np.nextafter(r, 0.0), r + 1e-9, r - 1e-9]
+
+
+# ---------------------------------------------------------------------------
+# filtered predicates against their exact forms
+
+
+def nudge(g, k):
+    """g moved k ulps up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        g = np.nextafter(g, math.inf if k > 0 else -math.inf)
+    return float(g)
+
+
+def radius_near(g):
+    """A radius a few ulps or up to 1e-9 from the distance g, or anywhere."""
+    return st.one_of(
+        st.integers(-4, 4).map(lambda k: nudge(g, k)),
+        st.floats(-1e-9, 1e-9).map(lambda d: g + d),
+        st.floats(0.0, 30.0),
+    )
+
+
+COORD = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, 1e-170, -3e-200, 10.0]))
+
+
+def short_segment(a, data):
+    """b: a itself, a point up to 1e-15..1 away, or anywhere."""
+    how = data.draw(st.sampled_from(["same", "short", "free"]))
+    if how == "same":
+        return list(a)
+    if how == "short":
+        scale = 10.0 ** -data.draw(st.integers(0, 15))
+        return [v + scale * data.draw(st.floats(-1.0, 1.0)) for v in a]
+    return [data.draw(COORD), data.draw(COORD)]
+
+
+class TestFilteredPredicates:
+    @given(x=COORD, y=COORD, data=st.data())
+    @settings(max_examples=1500, deadline=None)
+    def test_planar_within_is_the_exact_comparison(self, x, y, data):
+        r = data.draw(radius_near(planar_norm(x, y)))
+        assert planar_within(x, y, r) == (planar_norm(x, y) <= r)
+
+    @given(p=st.tuples(COORD, COORD), a=st.tuples(COORD, COORD), data=st.data())
+    @settings(max_examples=1500, deadline=None)
+    def test_segment_within_is_the_exact_comparison(self, p, a, data):
+        b = short_segment(a, data)
+        r = data.draw(radius_near(point_segment_distance(p, a, b)))
+        assert segment_within(p, a, b, r) == (point_segment_distance(p, a, b) <= r)
+
+    @given(
+        pts=st.lists(st.tuples(COORD, COORD), min_size=4, max_size=4),
+        r=st.one_of(st.floats(0.0, 5.0), st.sampled_from([0.0, -0.0, -1e-300, 0.03])),
+    )
+    @settings(max_examples=800, deadline=None)
+    def test_segments_within_is_the_exact_comparison(self, pts, r):
+        p0, p1, q0, q1 = (np.array(v) for v in pts)
+        want = ref_segment_segment_distance(p0, p1, q0, q1) <= r
+        assert segments_within(*pts, r) == want
+
+    @pytest.mark.parametrize("case", [
+        (1e160, 1e160, 1.5e160), (1e-170, 2e-170, 2.2e-170), (math.inf, 0.0, 1.0),
+        (math.nan, 0.0, 1.0), (3.0, 4.0, math.inf), (3.0, 4.0, -0.0),
+        # x*x + y*y is finite here, the fused dot overflows
+        (6.5289339677169235e153, 1.1710778570676833e154, 2e154),
+    ])
+    def test_predicates_at_the_range_edges(self, case):
+        x, y, r = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert planar_within(x, y, r) == (planar_norm(x, y) <= r)
+            # the nearest point of the segment is its end at the origin
+            seg = ([x, y], [0.0, 0.0], [-1.0, 0.0])
+            assert segment_within(*seg, r) == (point_segment_distance(*seg) <= r)
+
+    def test_exact_form_decides_inside_the_band(self, monkeypatch):
+        # radii a few ulps from the distance always take the exact form,
+        # and the float distance alone would have answered some wrongly
+        rng = np.random.default_rng(0)
+        planar = [rng.uniform(-10.0, 10.0, 2).tolist() for _ in range(2000)]
+        planar = [(x, y, nudge(planar_norm(x, y), int(rng.integers(-2, 3)))) for x, y in planar]
+        segs = [rng.uniform(-10.0, 10.0, (3, 2)).tolist() for _ in range(2000)]
+        segs = [(p, a, b, nudge(point_segment_distance(p, a, b), int(rng.integers(-2, 3))))
+                for p, a, b in segs]
+        want = [planar_norm(x, y) <= r for x, y, r in planar]
+        want_seg = [point_segment_distance(p, a, b) <= r for p, a, b, r in segs]
+        wrong = sum((math.sqrt(x * x + y * y) <= r) != w for (x, y, r), w in zip(planar, want))
+        calls = count_exact_calls(monkeypatch)
+        assert [planar_within(*c) for c in planar] == want
+        assert len(calls) == len(planar) and wrong > 0
+        calls.clear()
+        assert [segment_within(*c) for c in segs] == want_seg
+        # each fallback runs the exact distance, which runs one norm
+        assert len(calls) == 2 * len(segs)
+
+    def test_float_form_decides_outside_the_band(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        cases = []
+        for _ in range(500):
+            x, y, d = rng.uniform(-10.0, 10.0, 3).tolist()
+            p, a, b = rng.uniform(-10.0, 10.0, (3, 2)).tolist()
+            off = math.copysign(1e-6, d)
+            cases.append((x, y, planar_norm(x, y) + off, p, a, b,
+                          point_segment_distance(p, a, b) + off, d > 0))
+        calls = count_exact_calls(monkeypatch)
+        for x, y, r, p, a, b, r_seg, inside in cases:
+            assert planar_within(x, y, r) == inside
+            assert segment_within(p, a, b, r_seg) == inside
+        assert not calls
+
+
+def count_exact_calls(monkeypatch) -> list:
+    """Record every call of the exact forms the filtered predicates fall
+    back to."""
+    calls = []
+    for name in ("planar_norm", "point_segment_distance"):
+        exact = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, lambda *v, f=exact: calls.append(1) or f(*v))
+    return calls
+
 
 def task_worlds(name, seeds, level):
     task = TASKS[name]
@@ -471,6 +638,16 @@ class TestViews:
         rows = spec.extract(worlds)
         for i, w in enumerate(worlds):
             assert rows[i].tobytes() == spec.extract([w])[0].tobytes()
+
+    @pytest.mark.parametrize("name", POINT_TASKS + ARM_TASKS)
+    def test_shared_columns_match_each_views_own(self, name):
+        task, worlds = task_worlds(name, range(5), 1.0)
+        columns = robot_columns(worlds, task.robot, task.cfg)
+        for spec in task.specs:
+            assert spec.extract(worlds, columns).tobytes() == spec.extract(worlds).tobytes()
+        want = np.concatenate([spec.extract(worlds) for spec in task.specs], axis=1)
+        assert full_view(task, worlds).tobytes() == want.tobytes()
+        assert task.specs is task.specs
 
 
 # ---------------------------------------------------------------------------
