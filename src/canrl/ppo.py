@@ -141,10 +141,9 @@ class CascadeTailActor:
         tail = len(self.cascade.modules)
         actions, rec = cascade_act(self.cascade, worlds, rngs, explore=tail)
         critic_in = np.concatenate([rec.base_view, rec.views[-1]], axis=1)
-        # these blocks are fresh each tick, none is the returned stack
-        # action, and all their rows are banked
+        # copies: banking views of the tick blocks raised the arm run's peak RSS
         return actions, [
-            Transition(x, a, float(lp), c)
+            Transition(x.copy(), a.copy(), float(lp), c.copy())
             for x, a, lp, c in zip(
                 rec.comp_inputs[-1], rec.comp_actions[-1], rec.log_prob, critic_in
             )

@@ -534,15 +534,13 @@ class TestFilteredPredicates:
         r = data.draw(radius_near(point_segment_distance(p, a, b)))
         assert segment_within(p, a, b, r) == (point_segment_distance(p, a, b) <= r)
 
-    @given(
-        pts=st.lists(st.tuples(COORD, COORD), min_size=4, max_size=4),
-        r=st.one_of(st.floats(0.0, 5.0), st.sampled_from([0.0, -0.0, -1e-300, 0.03])),
-    )
+    @given(pts=st.lists(st.tuples(COORD, COORD), min_size=4, max_size=4), data=st.data())
     @settings(max_examples=800, deadline=None)
-    def test_segments_within_is_the_exact_comparison(self, pts, r):
+    def test_segments_within_is_the_exact_comparison(self, pts, data):
         p0, p1, q0, q1 = (np.array(v) for v in pts)
-        want = ref_segment_segment_distance(p0, p1, q0, q1) <= r
-        assert segments_within(*pts, r) == want
+        d = ref_segment_segment_distance(p0, p1, q0, q1)
+        r = data.draw(st.one_of(radius_near(d), st.sampled_from([0.0, -0.0, -1e-300])))
+        assert segments_within(*pts, r) == (d <= r)
 
     @pytest.mark.parametrize("case", [
         (1e160, 1e160, 1.5e160), (1e-170, 2e-170, 2.2e-170), (math.inf, 0.0, 1.0),
