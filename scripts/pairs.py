@@ -1,10 +1,11 @@
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
-    python3 scripts/pairs.py PARENT CHANGE --workload W --seed S [--pairs N] [--seconds T]
+    python3 scripts/pairs.py PARENT CHANGE --workload W --seed S [--pairs N]
 
-Each pair runs `benchmark/run.py --trace 0` once in each checkout, parent
-first in even pairs and change first in odd ones, so a slow drift in host
-load falls on both sides alike.  For every end-to-end metric the script
+Each pair runs `benchmark/run.py --trace 0` once in each checkout, at the
+benchmark's own run length, parent first in even pairs and change first
+in odd ones, so a slow drift in host load falls on both sides alike.  For
+every end-to-end metric the script
 prints each side's median and quartiles (numpy's linear percentiles), how
 many pairs the change won in the metric's better direction, and whether
 the gap between the medians exceeds the parent's quartile distance.  It
@@ -23,12 +24,10 @@ import sys
 from pathlib import Path
 
 
-def run_once(repo: Path, workload: str, seed: int, seconds: int | None) -> dict:
+def run_once(repo: Path, workload: str, seed: int) -> dict:
     """One untraced run: its metric values and output digests."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=repo, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{repo}: {' '.join(cmd[1:])} exited {proc.returncode}:\n{proc.stderr}")
@@ -73,7 +72,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=None, help="run.py's --seconds (its default)")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
@@ -84,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
-            runs[side].append(run_once(sides[side], args.workload, args.seed, args.seconds))
+            runs[side].append(run_once(sides[side], args.workload, args.seed))
         p, c = runs["parent"][-1], runs["change"][-1]
         print(f"pair {i + 1}: wall_s parent {p['values']['wall_s']:.4f}"
               f" change {c['values']['wall_s']:.4f} ({order[0]} first)", flush=True)
