@@ -55,7 +55,43 @@ GOLDEN = {
         "18ae381ac3f6bcda0d954733c3083a35418fed115bb59cf9f26a139c28dcb529",
     "profile":
         "146e8de0d92258c9105f460e5199993a07fb65953081a605a31813155080b3a7",
+    "arm_stack.json":
+        "05c59d1edb836cd5f45f95c2af174b17a993e133268101fa13fda8503fe1c68a",
+    "arm_stack_report.json":
+        "f9cbaca6f0f2341db41bd58647d6578f314d19bbcd7b63a86ee99c07f8ab9ce2",
+    "arm_stack_trajectory.jsonl":
+        "f6d255c189fc47f94c8654a71b856944198114ce638f43dc5322968116ca9120",
+    "bare/arm_door_report.json":
+        "1a566b28e86baae7bdfb9f8aa89d3a112813b16cb68576fbcb169216d4cbf1df",
+    "bare/arm_door_trajectory.jsonl":
+        "220b9c145f5fcd5fbe4b5ca635e008fdf43ba07572a176e07dd30d610303ec4d",
+    "bare/arm_force_report.json":
+        "896785a47c3d85bcb96be6d329f79b7015245bf4fc746adf70c9dc513019780b",
+    "bare/arm_force_trajectory.jsonl":
+        "42f0e0dfbbf70979be2ba1bc32867e42739047f2858c13eaca763ef958bfff5b",
+    "bare/arm_speed_report.json":
+        "896785a47c3d85bcb96be6d329f79b7015245bf4fc746adf70c9dc513019780b",
+    "bare/arm_speed_trajectory.jsonl":
+        "5b57966c578258ee79037c68e31c8c06aa9156fe9717e94ca8a28489a468f7fc",
+    "bare/point_door_report.json":
+        "0066819140a5a69af2cdf25cb91922cb16d48d8bf4383d703b79900c3714c74e",
+    "bare/point_door_trajectory.jsonl":
+        "da7c182a717706a4b62eeaad245e7291d12c6a4e5b18660eb7c032b2b8dc72d6",
+    "bare/point_force_report.json":
+        "9ac3ec26c610f1bd1563470b08a651209546d2640afbe561d8b6cb174b587a3c",
+    "bare/point_force_trajectory.jsonl":
+        "46d81adf6be207a00e820a05e45b14f9dbd54b5bea89b14d1b74e8f76c370eea",
+    "bare/point_speed_report.json":
+        "9ac3ec26c610f1bd1563470b08a651209546d2640afbe561d8b6cb174b587a3c",
+    "bare/point_speed_trajectory.jsonl":
+        "a9d4825fedfaf3807f3f1a9f88ae5c88cf885bcf50297716e09be39af197dd82",
 }
+
+# bare bases on the door, speed and force tasks pin those views, rewards
+# (door touches included), the disturbance (the arm's through
+# `arm_jacobian`) and both robots' trajectory records; the arm stack pins
+# an arm cascade's evaluation
+BARE_TASKS = ("point_door", "point_speed", "point_force", "arm_door", "arm_speed", "arm_force")
 
 
 def sha256(data: bytes) -> str:
@@ -89,6 +125,17 @@ def digests(tmp_path_factory):
     run("eval", "--task", "point_two_obstacles", "--base", str(d / "point_base.json"),
         "--episodes", "5", "--seed", "3", "--trajectories", str(d / "base_trajectory.jsonl"),
         "--out", str(d / "base_report.json"))
+    arm_module = d / "arm_obstacle.json"
+    run("assemble", "--base", str(d / "arm_base.json"), "--module", f"{arm_module}:0",
+        "--out", str(d / "arm_stack.json"), "--task", "arm_obstacle")
+    run("eval", "--task", "arm_obstacle", "--descriptor", str(d / "arm_stack.json"),
+        "--episodes", "3", "--seed", "0", "--trajectories", str(d / "arm_stack_trajectory.jsonl"),
+        "--out", str(d / "arm_stack_report.json"))
+    for task in BARE_TASKS:
+        base = d / f"{task.split('_')[0]}_base.json"
+        run("eval", "--task", task, "--base", str(base), "--episodes", "4", "--seed", "1",
+            "--trajectories", str(d / "bare" / f"{task}_trajectory.jsonl"),
+            "--out", str(d / "bare" / f"{task}_report.json"))
     out = {
         name: sha256((d / name).read_bytes()) for name in GOLDEN if name != "profile"
     }
