@@ -56,11 +56,22 @@ SPAWN_MARGIN = 0.02
 DOOR_WAIT_CAP = 10.0
 
 
-@dataclass
-class ObstacleParams:
-    center: np.ndarray
+class ObstacleParams(NamedTuple):
+    """A drifting disc, never written after it is made."""
+
+    cx: float
+    cy: float
     radius: float
-    velocity: np.ndarray
+    vx: float
+    vy: float
+
+    @property
+    def center(self) -> np.ndarray:
+        return np.array((self.cx, self.cy), dtype=np.float64)
+
+    @property
+    def velocity(self) -> np.ndarray:
+        return np.array((self.vx, self.vy), dtype=np.float64)
 
 
 @dataclass
@@ -129,54 +140,53 @@ def _bounce(c: float, v: float, lo: float, hi: float) -> tuple[float, float]:
 
 def advance_obstacle(obs: ObstacleParams, dt: float, half: float) -> ObstacleParams:
     """Constant-velocity drift with elastic bounces off the arena walls."""
-    hi = half - obs.radius
-    cx, cy = obs.center.tolist()
-    vx, vy = obs.velocity.tolist()
+    cx, cy, radius, vx, vy = obs
+    hi = half - radius
     cx, vx = _bounce(cx + vx * dt, vx, -hi, hi)
     cy, vy = _bounce(cy + vy * dt, vy, -hi, hi)
-    return ObstacleParams(np.array((cx, cy)), obs.radius, np.array((vx, vy)))
+    return ObstacleParams(cx, cy, radius, vx, vy)
 
 
 # ---------------------------------------------------------------------------
 # contact predicates, filtered (see `canrl.dynamics`); clearance is exact
 
 def robot_touches_disc(world: WorldState, cfg: SimConfig, obs: ObstacleParams) -> bool:
-    center = obs.center.tolist()
-    if world.robot_kind == "point":
-        px, py = world.robot.position.tolist()
-        return planar_within(px - center[0], py - center[1], obs.radius + cfg.robot_radius)
-    pts = link_points(world.robot, cfg).tolist()
+    robot = world.robot
+    if robot.robot_kind == "point":
+        return planar_within(robot.x - obs.cx, robot.y - obs.cy, obs.radius + cfg.robot_radius)
+    pts = link_points(robot, cfg)
+    center = (obs.cx, obs.cy)
     reach = obs.radius + cfg.link_radius
     return any(segment_within(center, a, b, reach) for a, b in zip(pts, pts[1:]))
 
 
 def robot_touches_segment(world: WorldState, cfg: SimConfig, seg: np.ndarray) -> bool:
     q0, q1 = seg.tolist()
-    if world.robot_kind == "point":
+    robot = world.robot
+    if robot.robot_kind == "point":
         # swept test: the previous position is exactly pos - v*dt under
         # semi-implicit Euler, so fast crossings cannot tunnel through
-        px, py = world.robot.position.tolist()
-        vx, vy = world.robot.velocity.tolist()
+        px, py, vx, vy = robot
         prev = (px - vx * cfg.dt, py - vy * cfg.dt)
         return segments_within(prev, (px, py), q0, q1, cfg.robot_radius)
-    pts = link_points(world.robot, cfg).tolist()
+    pts = link_points(robot, cfg)
     return any(segments_within(a, b, q0, q1, cfg.link_radius) for a, b in zip(pts, pts[1:]))
 
 
 def obstacle_clearance(world: WorldState, cfg: SimConfig, obs: ObstacleParams) -> float:
     """Surface-to-surface distance; negative while touching."""
-    center = obs.center.tolist()
-    if world.robot_kind == "point":
-        px, py = world.robot.position.tolist()
-        gap = planar_norm(px - center[0], py - center[1])
+    robot = world.robot
+    if robot.robot_kind == "point":
+        gap = planar_norm(robot.x - obs.cx, robot.y - obs.cy)
         return gap - obs.radius - cfg.robot_radius
-    pts = link_points(world.robot, cfg).tolist()
+    pts = link_points(robot, cfg)
+    center = (obs.cx, obs.cy)
     gap = min(point_segment_distance(center, a, b) for a, b in zip(pts, pts[1:]))
     return gap - obs.radius - cfg.link_radius
 
 
 def target_reached(world: WorldState, cfg: SimConfig) -> bool:
-    rx, ry = reference_point(world, cfg).tolist()
+    rx, ry = reference_point(world, cfg)
     tx, ty = world.target_position.tolist()
     return planar_within(rx - tx, ry - ty, cfg.target_radius)
 
@@ -242,14 +252,12 @@ def robot_columns(
     """Column blocks that side by side hold each world's robot state
     vector, and each world's reference point, (E, 2): the point robot
     itself or the arm's end effector."""
+    robots = [w.robot for w in worlds]
     if robot == "point":
-        pos = np.array([w.robot.position for w in worlds])
-        return [pos, np.array([w.robot.velocity for w in worlds])], pos
-    rail = np.array([(w.robot.base_x, w.robot.base_speed) for w in worlds])
-    angles = np.array([w.robot.joint_angles for w in worlds])
-    jv = np.array([w.robot.joint_velocities for w in worlds])
-    ref = np.array([link_points(w.robot, cfg)[-1] for w in worlds])
-    return [rail, angles, jv], ref
+        state = np.array(robots, dtype=float)
+        return [state], state[:, :2]
+    state = np.array([(r.base_x, r.base_speed, *r.angles, *r.rates) for r in robots])
+    return [state], np.array([link_points(r, cfg)[-1] for r in robots])
 
 
 def _get_obstacle(world: WorldState, index: int) -> ObstacleParams:
@@ -290,12 +298,12 @@ def make_attribute(
 
     if kind == "obstacle":
         def extract(worlds: Sequence[WorldState], columns=None) -> np.ndarray:
-            obs = [_get_obstacle(w, entity_index) for w in worlds]
+            # rows of (cx, cy, radius, vx, vy)
+            obs = np.array([_get_obstacle(w, entity_index) for w in worlds], dtype=float)
             state, ref = columns or robot_columns(worlds, robot, cfg)
-            center = np.array([o.center for o in obs])
-            vel = np.array([o.velocity for o in obs])
-            radius = _column([o.radius for o in obs])
-            return np.concatenate([*state, center - ref, vel, radius], axis=1)
+            return np.concatenate(
+                [*state, obs[:, :2] - ref, obs[:, 3:], obs[:, 2:3]], axis=1
+            )
 
         def reward(world: WorldState, action: Sequence[float]) -> float:
             return obstacle_reward(world, cfg, _get_obstacle(world, entity_index))
@@ -390,11 +398,9 @@ class Task:
         return action_dim(self.robot)
 
     @cached_property
-    def limits(self) -> np.ndarray:
-        """Actuator limits, computed once per task and never written."""
-        lim = action_limits(self.robot, self.cfg)
-        lim.flags.writeable = False
-        return lim
+    def limits(self) -> tuple[float, ...]:
+        """Actuator limits as floats, computed once per task."""
+        return tuple(action_limits(self.robot, self.cfg).tolist())
 
 
 def build_task(robot: str, cfg: SimConfig, nominal: Nominal, addons: list[AddonSetup]) -> Task:
@@ -446,10 +452,10 @@ def _sample_entities(task: Task, level: float, rng: np.random.Generator, world: 
             cx = _lerp_box(p["center"][0], -half, half, level, u[0])
             cy = _lerp_box(p["center"][1], -half, half, level, u[1])
             heading = p["heading"] + level * (2.0 * u[2] - 1.0) * math.pi
-            vel = p["speed"] * np.array([math.cos(heading), math.sin(heading)])
-            world.obstacles.append(
-                ObstacleParams(np.array([cx, cy]), p["radius"], vel)
-            )
+            world.obstacles.append(ObstacleParams(
+                float(cx), float(cy), float(p["radius"]),
+                p["speed"] * math.cos(heading), p["speed"] * math.sin(heading),
+            ))
         elif setup.kind == "door":
             phase = level * rng.uniform() * p["period"]
             seg = np.array(
@@ -487,14 +493,10 @@ def _sample_world(task: Task, level: float, rng: np.random.Generator, mode: str)
         )
         center = target if mode == "rcl" else nom.position
         ur = rng.uniform(size=2)
-        pos = np.array(
-            [
-                _lerp_box(center[0], -w, w, level, ur[0]),
-                _lerp_box(center[1], -w, w, level, ur[1]),
-            ]
-        )
-        vel = level * INIT_SPEED_RANGE * rng.uniform(-1.0, 1.0, size=2)
-        robot = PointRobotState(pos, vel)
+        px = _lerp_box(center[0], -w, w, level, ur[0])
+        py = _lerp_box(center[1], -w, w, level, ur[1])
+        vx, vy = (level * INIT_SPEED_RANGE * rng.uniform(-1.0, 1.0, size=2)).tolist()
+        robot = PointRobotState(float(px), float(py), vx, vy)
     else:
         ut = rng.uniform(size=2)
         target = np.array(
@@ -517,13 +519,13 @@ def _sample_world(task: Task, level: float, rng: np.random.Generator, mode: str)
         ub = rng.uniform()
         base_x = _lerp_box(base_center, -w, w, level, ub)
         ua = rng.uniform(size=4)
-        angles = np.array([
-            wrap_angle(_lerp_box(angle_center[i], -math.pi, math.pi, level, ua[i]))
+        angles = tuple(
+            float(wrap_angle(_lerp_box(angle_center[i], -math.pi, math.pi, level, ua[i])))
             for i in range(4)
-        ])
-        jv = level * INIT_SPEED_RANGE * rng.uniform(-1.0, 1.0, size=4)
+        )
+        jv = (level * INIT_SPEED_RANGE * rng.uniform(-1.0, 1.0, size=4)).tolist()
         bs = level * INIT_SPEED_RANGE * float(rng.uniform(-1.0, 1.0))
-        robot = ArticulatedRobotState(base_x, bs, angles, jv)
+        robot = ArticulatedRobotState(float(base_x), bs, angles, tuple(jv))
 
     world = WorldState(robot, target)
     _sample_entities(task, level, rng, world)
@@ -588,7 +590,7 @@ def step_task(
     # np.clip's bits for finite input
     commanded = [
         -lim if a < -lim else lim if a > lim else a
-        for a, lim in zip(wanted, task.limits.tolist())
+        for a, lim in zip(wanted, task.limits)
     ]
 
     specs = task.specs
@@ -603,14 +605,14 @@ def step_task(
         robot = arm_integrate(world.robot, effective, cfg)
 
     nxt = WorldState(
-        robot=robot,
-        target_position=world.target_position,
-        time=world.time + cfg.dt,
-        step_index=world.step_index + 1,
-        obstacles=[advance_obstacle(o, cfg.dt, cfg.workspace) for o in world.obstacles],
-        door=world.door,
-        speed_profile=world.speed_profile,
-        disturbance=world.disturbance,
+        robot,
+        world.target_position,
+        world.time + cfg.dt,
+        world.step_index + 1,
+        [advance_obstacle(o, cfg.dt, cfg.workspace) for o in world.obstacles],
+        world.door,
+        world.speed_profile,
+        world.disturbance,
     )
 
     rewards = [spec.reward(nxt, commanded) for spec in specs]

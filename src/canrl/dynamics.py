@@ -1,18 +1,23 @@
 """Planar physics: a force-driven point robot and a torque-driven arm on
 a sliding base, both integrated with semi-implicit Euler.
 
-Steppers are pure state-in/state-out and never write their inputs, so
-rollouts and evaluation can keep many worlds alive and step them in
-lockstep, one after another on each tick.  A robot state is never
-written after it is made, so an arm state computes its link points once
-(`link_points`) and every view, contact test and reward of that state
-reads the same read-only array.
+Steppers are pure state-in/state-out, so rollouts and evaluation can keep
+many worlds alive and step them in lockstep, one after another on each
+tick.  Robot states and obstacles are named tuples of Python floats and
+cannot be written after they are made; their array properties
+(`position`, `velocity`, `center`, `joint_angles`, `joint_velocities`)
+build a fresh float64 array for callers that want one.  An arm state
+computes its link points once (`link_points`) and every view, contact
+test and reward of that state reads the same tuple of (x, y) pairs.
 
-The per-step kernels read each small vector once with `.tolist()` and do
-their arithmetic on Python floats, which is several times cheaper than
-numpy calls on 2- and 4-vectors and gives numpy's bits:
+The per-step kernels do their arithmetic on Python floats, which is
+several times cheaper than numpy calls on 2- and 4-vectors and gives
+numpy's bits:
 - `+ - * /`, `math.sqrt` and comparisons round exactly as numpy's
   elementwise ufuncs do;
+- `itertools.accumulate` adds in `np.cumsum`'s order for a 1-D array,
+  first element as is, so `arm_points` forms its cumulative angles and
+  link sums on floats;
 - `min(max(x, -l), l)` (or the same two comparisons written out) has the
   bits of `np.clip` for finite x;
 - `np.ceil` keeps the sign of a zero result, which `math.ceil` drops, so
@@ -21,7 +26,7 @@ numpy calls on 2- and 4-vectors and gives numpy's bits:
   `ndarray.dot`: BLAS may fuse the multiply-add (`fma(y, y, x*x)`), and
   `x*x + y*y` can then differ in the last bit (`planar_norm`,
   `point_segment_distance`);
-- `sin`, `cos`, `cumsum` and `tanh` stay in numpy.
+- `sin`, `cos` and `tanh` stay in numpy.
 
 Contact and target predicates only compare a distance g with a radius,
 so `planar_within` and `segment_within` filter them (Shewchuk 1997):
@@ -44,7 +49,9 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
+from itertools import accumulate
+from operator import mul
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -86,25 +93,47 @@ class SimConfig:
         return lengths
 
 
-@dataclass
-class PointRobotState:
-    position: np.ndarray
-    velocity: np.ndarray
+class PointRobotState(NamedTuple):
+    x: float
+    y: float
+    vx: float
+    vy: float
+
+    robot_kind = "point"
+
+    @property
+    def position(self) -> np.ndarray:
+        return np.array((self.x, self.y), dtype=np.float64)
+
+    @property
+    def velocity(self) -> np.ndarray:
+        return np.array((self.vx, self.vy), dtype=np.float64)
 
 
-@dataclass
-class ArticulatedRobotState:
+class _ArmFields(NamedTuple):
     base_x: float
     base_speed: float
-    joint_angles: np.ndarray
-    joint_velocities: np.ndarray
+    angles: tuple[float, ...]  # one per joint
+    rates: tuple[float, ...]  # joint velocities
+
+
+class ArticulatedRobotState(_ArmFields):
+    # a subclass, so that instances can hold the link-point memo; the
+    # fields themselves stay read-only
+    robot_kind = "arm"
     # (cfg, link points) once `link_points` has run on this state
-    _points: tuple[SimConfig, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _points: tuple[SimConfig, tuple[tuple[float, float], ...]] | None = None
+
+    @property
+    def joint_angles(self) -> np.ndarray:
+        return np.array(self.angles, dtype=np.float64)
+
+    @property
+    def joint_velocities(self) -> np.ndarray:
+        return np.array(self.rates, dtype=np.float64)
 
 
-@dataclass
+@dataclass(slots=True)
 class WorldState:
     robot: PointRobotState | ArticulatedRobotState
     target_position: np.ndarray
@@ -117,7 +146,7 @@ class WorldState:
 
     @property
     def robot_kind(self) -> str:
-        return "point" if isinstance(self.robot, PointRobotState) else "arm"
+        return self.robot.robot_kind
 
 
 def wrap_angle(a: float) -> float:
@@ -157,9 +186,9 @@ def _clamp_to_wall(x: float, v: float, half: float) -> tuple[float, float]:
     """One coordinate held in [-half, half]; wall contact kills the normal
     velocity component, no bounce."""
     if x < -half:
-        return -half, 0.0
+        return float(-half), 0.0
     if x > half:
-        return half, 0.0
+        return float(half), 0.0
     return x, v
 
 
@@ -173,15 +202,14 @@ def point_integrate(
         raise SimulationFault(f"non-finite force {total_force!r}")
     dt = cfg.dt
     decay = 1.0 - cfg.damping * dt
-    px, py = state.position.tolist()
-    vx, vy = state.velocity.tolist()
+    px, py, vx, vy = state
     vx = decay * vx + (fx / cfg.mass) * dt
     vy = decay * vy + (fy / cfg.mass) * dt
     px, vx = _clamp_to_wall(px + vx * dt, vx, cfg.workspace)
     py, vy = _clamp_to_wall(py + vy * dt, vy, cfg.workspace)
     if not all(map(math.isfinite, (px, py, vx, vy))):
         raise SimulationFault("point state diverged")
-    return PointRobotState(np.array((px, py)), np.array((vx, vy)))
+    return PointRobotState(px, py, vx, vy)
 
 
 def arm_integrate(
@@ -194,45 +222,44 @@ def arm_integrate(
         raise SimulationFault(f"non-finite action {generalized!r}")
     dt = cfg.dt
     decay = 1.0 - cfg.damping * dt
-    jv = [
-        decay * v + (t / cfg.joint_inertia) * dt
-        for v, t in zip(state.joint_velocities.tolist(), torques)
-    ]
-    angles = [a + v * dt for a, v in zip(state.joint_angles.tolist(), jv)]
+    jv = [decay * v + (t / cfg.joint_inertia) * dt for v, t in zip(state.rates, torques)]
+    angles = [a + v * dt for a, v in zip(state.angles, jv)]
     if not all(map(math.isfinite, angles + jv)):
         raise SimulationFault("arm state diverged")
     bs = decay * state.base_speed + (base_force / cfg.mass) * dt
     bx, bs = _clamp_to_wall(state.base_x + bs * dt, bs, cfg.workspace)
-    return ArticulatedRobotState(
-        float(bx), float(bs), np.array([wrap_angle(a) for a in angles]), np.array(jv)
-    )
+    return ArticulatedRobotState(bx, bs, tuple(map(wrap_angle, angles)), tuple(jv))
 
 
-def arm_points(state: ArticulatedRobotState, cfg: SimConfig) -> np.ndarray:
-    """Base anchor plus the far end of each link, shape (n_links+1, 2).
+def arm_points(
+    state: ArticulatedRobotState, cfg: SimConfig
+) -> tuple[tuple[float, float], ...]:
+    """Base anchor plus the far end of each link, (n_links+1) (x, y) pairs.
 
     Angles are cumulative; at all-zero angles the arm points straight up.
+    The bits are those of `base_x + np.cumsum(L * np.sin(np.cumsum(q)))`
+    and `0.0 + np.cumsum(L * np.cos(...))`.
     """
-    cum = np.cumsum(state.joint_angles)
-    pts = np.empty((len(cfg.link_lengths) + 1, 2))
-    pts[0] = (state.base_x, 0.0)
-    pts[1:, 0] = state.base_x + np.cumsum(cfg.link_array * np.sin(cum))
-    pts[1:, 1] = 0.0 + np.cumsum(cfg.link_array * np.cos(cum))
-    return pts
+    cum = np.array(tuple(accumulate(state.angles)))
+    lengths = cfg.link_lengths
+    xs = accumulate(map(mul, lengths, np.sin(cum).tolist()))
+    ys = accumulate(map(mul, lengths, np.cos(cum).tolist()))
+    bx = state.base_x
+    return ((bx, 0.0), *[(bx + x, 0.0 + y) for x, y in zip(xs, ys)])
 
 
-def link_points(state: ArticulatedRobotState, cfg: SimConfig) -> np.ndarray:
-    """`arm_points` of `state`, computed on first use and kept, read-only,
-    on the state for every later call with the same config object."""
+def link_points(
+    state: ArticulatedRobotState, cfg: SimConfig
+) -> tuple[tuple[float, float], ...]:
+    """`arm_points` of `state`, computed on first use and kept on the
+    state for every later call with the same config object."""
     memo = state._points
     if memo is None or memo[0] is not cfg:
-        pts = arm_points(state, cfg)
-        pts.flags.writeable = False
-        memo = state._points = (cfg, pts)
+        memo = state._points = (cfg, arm_points(state, cfg))
     return memo[1]
 
 
-def end_effector(state: ArticulatedRobotState, cfg: SimConfig) -> np.ndarray:
+def end_effector(state: ArticulatedRobotState, cfg: SimConfig) -> tuple[float, float]:
     return link_points(state, cfg)[-1]
 
 
@@ -248,21 +275,22 @@ def arm_jacobian(state: ArticulatedRobotState, cfg: SimConfig) -> np.ndarray:
     return jac
 
 
-def reference_point(world: WorldState, cfg: SimConfig) -> np.ndarray:
+def reference_point(world: WorldState, cfg: SimConfig) -> tuple[float, float]:
     """The body point that attributes reason about: the point robot itself,
     or the arm's end effector."""
-    if world.robot_kind == "point":
-        return world.robot.position
-    return end_effector(world.robot, cfg)
+    robot = world.robot
+    if robot.robot_kind == "point":
+        return robot.x, robot.y
+    return end_effector(robot, cfg)
 
 
 def robot_speed(world: WorldState) -> float:
     """Scalar speed used by speed limits: planar speed for the point robot,
     the largest joint/base magnitude for the arm."""
-    if world.robot_kind == "point":
-        return planar_norm(*world.robot.velocity.tolist())
     r = world.robot
-    return max(*map(abs, r.joint_velocities.tolist()), abs(r.base_speed))
+    if r.robot_kind == "point":
+        return planar_norm(r.vx, r.vy)
+    return max(*map(abs, r.rates), abs(r.base_speed))
 
 
 def clamp01(x: float) -> float:

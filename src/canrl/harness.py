@@ -124,16 +124,14 @@ def _violation(event: str) -> bool:
 
 
 def _robot_record(world) -> dict:
-    if world.robot_kind == "point":
-        return {
-            "position": [float(v) for v in world.robot.position],
-            "velocity": [float(v) for v in world.robot.velocity],
-        }
+    r = world.robot
+    if r.robot_kind == "point":
+        return {"position": [r.x, r.y], "velocity": [r.vx, r.vy]}
     return {
-        "base_x": float(world.robot.base_x),
-        "base_speed": float(world.robot.base_speed),
-        "joint_angles": [float(v) for v in world.robot.joint_angles],
-        "joint_velocities": [float(v) for v in world.robot.joint_velocities],
+        "base_x": r.base_x,
+        "base_speed": r.base_speed,
+        "joint_angles": list(r.angles),
+        "joint_velocities": list(r.rates),
     }
 
 
@@ -346,9 +344,13 @@ def load_cascade(descriptor_path: str | Path, task: Task) -> CascadePolicy:
         raise TaskConfigError(f"not a cascade descriptor: kind={d.get('kind')!r}")
     root = descriptor_path.parent
     base = load_base(root / d["base_checkpoint"])
+    payloads: dict[Path, dict] = {}  # each file parsed once, however often it is bound
     modules = []
     for entry in d.get("modules", []):
-        module = load_module(root / entry["checkpoint"], int(entry.get("entity_binding", 0)))
+        path = root / entry["checkpoint"]
+        if path not in payloads:
+            payloads[path] = read_json(path)
+        module = attribute_module_from_dict(payloads[path], int(entry.get("entity_binding", 0)))
         if "weight" in entry:
             module.weight = float(entry["weight"])
         modules.append(module)

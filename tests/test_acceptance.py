@@ -276,7 +276,7 @@ def test_04_reward_values(capsys):
 
     def world(pos, vel=(0.0, 0.0), t=0.0, **extras):
         return WorldState(
-            PointRobotState(np.asarray(pos, float), np.asarray(vel, float)),
+            PointRobotState(*map(float, pos), *map(float, vel)),
             np.array([0.5, 0.0]),
             time=t,
             **extras,
@@ -285,7 +285,7 @@ def test_04_reward_values(capsys):
     ok = reaching_reward(world([0.5, 0.0]), cfg) == 1.0
     ok &= reaching_reward(world([0.0, 0.0]), cfg) == 0.0
 
-    obs = ObstacleParams(np.zeros(2), 0.1, np.zeros(2))
+    obs = ObstacleParams(0.0, 0.0, 0.1, 0.0, 0.0)
     ok &= obstacle_reward(world([0.1 + cfg.robot_radius - 1e-9, 0.0]), cfg, obs) == -0.3
     ok &= obstacle_reward(world([0.9, 0.9]), cfg, obs) == 0.0
     ok &= OBSTACLE_PENALTY == -0.3

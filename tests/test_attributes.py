@@ -54,7 +54,7 @@ CFG = point_sim_config()
 
 def point_world(pos, vel=(0.0, 0.0), target=(0.5, 0.0), t=0.0, **extras):
     return WorldState(
-        PointRobotState(np.asarray(pos, float), np.asarray(vel, float)),
+        PointRobotState(*map(float, pos), *map(float, vel)),
         np.asarray(target, float),
         time=t,
         **extras,
@@ -73,7 +73,7 @@ class TestRewardTable:
         assert reaching_reward(point_world([0.0, 0.0]), CFG) == 0.0
 
     def test_obstacle_touch_penalty(self):
-        obs = ObstacleParams(np.array([0.0, 0.0]), 0.1, np.zeros(2))
+        obs = ObstacleParams(0.0, 0.0, 0.1, 0.0, 0.0)
         touching = point_world([0.1 + CFG.robot_radius - 1e-6, 0.0])
         clear = point_world([0.5, 0.5])
         assert obstacle_reward(touching, CFG, obs) == OBSTACLE_PENALTY
@@ -103,10 +103,10 @@ class TestRewardTable:
 
     def test_arm_obstacle_uses_link_geometry(self):
         cfg = SimConfig(link_lengths=(0.25,) * 4, link_radius=0.03)
-        arm = ArticulatedRobotState(0.0, 0.0, np.zeros(4), np.zeros(4))
+        arm = ArticulatedRobotState(0.0, 0.0, (0.0,) * 4, (0.0,) * 4)
         w = WorldState(arm, np.array([0.5, 0.5]))
-        near_link = ObstacleParams(np.array([0.1, 0.5]), 0.08, np.zeros(2))
-        far = ObstacleParams(np.array([0.6, 0.5]), 0.08, np.zeros(2))
+        near_link = ObstacleParams(0.1, 0.5, 0.08, 0.0, 0.0)
+        far = ObstacleParams(0.6, 0.5, 0.08, 0.0, 0.0)
         assert obstacle_reward(w, cfg, near_link) == OBSTACLE_PENALTY
         assert obstacle_reward(w, cfg, far) == 0.0
 
@@ -130,17 +130,17 @@ class TestViews:
 
     def test_obstacle_view_ignores_target_and_other_obstacles(self):
         spec = make_attribute("obstacle", 1, "point", CFG, entity_index=0)
-        obs0 = ObstacleParams(np.array([0.1, 0.2]), 0.1, np.array([0.0, 0.25]))
-        obs1 = ObstacleParams(np.array([-0.4, 0.0]), 0.1, np.array([0.1, 0.0]))
-        obs1_moved = ObstacleParams(np.array([0.8, -0.8]), 0.1, np.array([-0.1, 0.0]))
+        obs0 = ObstacleParams(0.1, 0.2, 0.1, 0.0, 0.25)
+        obs1 = ObstacleParams(-0.4, 0.0, 0.1, 0.1, 0.0)
+        obs1_moved = ObstacleParams(0.8, -0.8, 0.1, -0.1, 0.0)
         a = view(spec, point_world([0.0, 0.0], target=[0.5, 0.0], obstacles=[obs0, obs1]))
         b = view(spec, point_world([0.0, 0.0], target=[-0.5, 0.9], obstacles=[obs0, obs1_moved]))
         assert np.array_equal(a, b)
 
     def test_second_obstacle_binding(self):
         spec = make_attribute("obstacle", 2, "point", CFG, entity_index=1)
-        obs0 = ObstacleParams(np.array([0.1, 0.2]), 0.1, np.zeros(2))
-        obs1 = ObstacleParams(np.array([-0.4, 0.3]), 0.15, np.array([0.1, 0.0]))
+        obs0 = ObstacleParams(0.1, 0.2, 0.1, 0.0, 0.0)
+        obs1 = ObstacleParams(-0.4, 0.3, 0.15, 0.1, 0.0)
         v = view(spec, point_world([0.0, 0.0], obstacles=[obs0, obs1]))
         assert np.allclose(v[4:6], [-0.4, 0.3])
         assert v[8] == 0.15
@@ -208,12 +208,12 @@ class TestDoorSchedule:
 
 class TestObstacleMotion:
     def test_straight_drift(self):
-        o = ObstacleParams(np.array([0.0, 0.0]), 0.1, np.array([0.25, 0.0]))
+        o = ObstacleParams(0.0, 0.0, 0.1, 0.25, 0.0)
         o2 = advance_obstacle(o, 0.05, 1.0)
         assert np.allclose(o2.center, [0.0125, 0.0])
 
     def test_bounce_reverses_velocity(self):
-        o = ObstacleParams(np.array([0.88, 0.0]), 0.1, np.array([1.0, 0.0]))
+        o = ObstacleParams(0.88, 0.0, 0.1, 1.0, 0.0)
         o2 = advance_obstacle(o, 0.05, 1.0)
         assert o2.velocity[0] == -1.0
         assert abs(o2.center[0]) <= 0.9
@@ -222,9 +222,9 @@ class TestObstacleMotion:
     @settings(max_examples=40, deadline=None)
     def test_stays_inside_arena(self, seed):
         rng = np.random.default_rng(seed)
-        o = ObstacleParams(
-            rng.uniform(-0.85, 0.85, 2), 0.1, rng.uniform(-0.5, 0.5, 2)
-        )
+        cx, cy = rng.uniform(-0.85, 0.85, 2).tolist()
+        vx, vy = rng.uniform(-0.5, 0.5, 2).tolist()
+        o = ObstacleParams(cx, cy, 0.1, vx, vy)
         for _ in range(200):
             o = advance_obstacle(o, 0.05, 1.0)
             assert np.all(np.abs(o.center) <= 0.9 + 1e-9)
@@ -358,8 +358,7 @@ class TestStepTask:
     def test_reach_ends_episode_with_unit_reward(self):
         loaded = load_stock_task("point_reach")
         w = reset(loaded.task, 0.0, np.random.default_rng(0))
-        w.robot.position = np.array([0.5 - CFG.target_radius - 0.001, 0.0])
-        w.robot.velocity = np.array([0.5, 0.0])
+        w.robot = PointRobotState(0.5 - CFG.target_radius - 0.001, 0.0, 0.5, 0.0)
         w2, rewards, done, events = step_task(loaded.task, w, np.array([1.0, 0.0]))
         assert rewards[0] == 1.0
         assert done
@@ -371,8 +370,7 @@ class TestStepTask:
         from canrl.taskio import parse_task
         task = parse_task(d).task
         w = reset(task, 0.0, np.random.default_rng(0))
-        w.robot.position = np.array([-0.14, 0.0])
-        w.robot.velocity = np.array([0.3, 0.0])
+        w.robot = PointRobotState(-0.14, 0.0, 0.3, 0.0)
         w2, rewards, done, events = step_task(task, w, np.array([1.0, 0.0]))
         assert rewards[1] == OBSTACLE_PENALTY
         assert events == ["touched_obstacle_0"]
@@ -427,7 +425,7 @@ class TestStepTask:
     def test_speed_channel_fires_on_fast_motion(self):
         loaded = load_stock_task("point_speed")
         w = reset(loaded.task, 0.0, np.random.default_rng(0))
-        w.robot.velocity = np.array([3.0, 0.0])
+        w.robot = w.robot._replace(vx=3.0, vy=0.0)
         w.time = 4.0  # inside the slow window
         w2, rewards, _, events = step_task(loaded.task, w, np.zeros(2))
         assert rewards[1] < 0.0

@@ -28,6 +28,7 @@ from canrl.dynamics import (
 from canrl.errors import DimensionError, SimulationFault
 
 BIG = SimConfig(workspace=50.0)  # walls far away
+ZEROS = (0.0,) * 4
 
 
 def step_robot(robot, action, cfg):
@@ -40,7 +41,7 @@ def step_robot(robot, action, cfg):
 
 def drive_point(dt, forces, v0, damping=0.8):
     cfg = SimConfig(dt=dt, damping=damping, workspace=50.0)
-    s = PointRobotState(np.zeros(2), np.asarray(v0, dtype=float))
+    s = PointRobotState(0.0, 0.0, *map(float, v0))
     for f in forces:
         s = point_integrate(s, f, cfg)
     return s
@@ -48,7 +49,7 @@ def drive_point(dt, forces, v0, damping=0.8):
 
 def drive_arm(dt, actions, damping=0.8):
     cfg = SimConfig(dt=dt, damping=damping)
-    s = ArticulatedRobotState(0.0, 0.0, np.zeros(4), np.zeros(4))
+    s = ArticulatedRobotState(0.0, 0.0, ZEROS, ZEROS)
     for a in actions:
         s = arm_integrate(s, a, cfg)
     return s
@@ -57,7 +58,7 @@ def drive_arm(dt, actions, damping=0.8):
 class TestPointStep:
     def test_coasting_without_damping(self):
         cfg = SimConfig(dt=0.05, damping=0.0, workspace=50.0)
-        s = PointRobotState(np.zeros(2), np.array([1.0, 0.0]))
+        s = PointRobotState(0.0, 0.0, 1.0, 0.0)
         s2 = point_integrate(s, np.zeros(2), cfg)
         assert np.allclose(s2.position, [0.05, 0.0], atol=1e-15)
         assert np.allclose(s2.velocity, [1.0, 0.0], atol=1e-15)
@@ -73,7 +74,7 @@ class TestPointStep:
 
     def test_force_is_clamped_to_limit(self):
         cfg = SimConfig(dt=0.05, damping=0.0, force_limit=1.0, workspace=50.0)
-        s = PointRobotState(np.zeros(2), np.zeros(2))
+        s = PointRobotState(0.0, 0.0, 0.0, 0.0)
         a = step_robot(s, np.array([10.0, 0.0]), cfg)
         b = step_robot(s, np.array([1.0, 0.0]), cfg)
         assert np.array_equal(a.position, b.position)
@@ -81,21 +82,21 @@ class TestPointStep:
 
     def test_wall_clamp_zeroes_normal_velocity(self):
         cfg = SimConfig(dt=0.1, damping=0.0, workspace=1.0)
-        s = PointRobotState(np.array([0.99, 0.0]), np.array([1.0, 0.3]))
+        s = PointRobotState(0.99, 0.0, 1.0, 0.3)
         s2 = point_integrate(s, np.zeros(2), cfg)
         assert s2.position[0] == 1.0
         assert s2.velocity[0] == 0.0
         assert s2.velocity[1] == pytest.approx(0.3)
 
     def test_nonfinite_force_faults(self):
-        s = PointRobotState(np.zeros(2), np.zeros(2))
+        s = PointRobotState(0.0, 0.0, 0.0, 0.0)
         with pytest.raises(SimulationFault):
             step_robot(s, np.array([np.nan, 0.0]), BIG)
         with pytest.raises(SimulationFault):
             step_robot(s, np.array([np.inf, 0.0]), BIG)
 
     def test_wrong_shape_raises(self):
-        s = PointRobotState(np.zeros(2), np.zeros(2))
+        s = PointRobotState(0.0, 0.0, 0.0, 0.0)
         with pytest.raises(DimensionError):
             step_robot(s, np.zeros(3), BIG)
 
@@ -106,7 +107,7 @@ class TestPointStep:
     @settings(max_examples=60, deadline=None)
     def test_unforced_speed_never_grows(self, vx, vy, damping):
         cfg = SimConfig(dt=0.05, damping=damping, workspace=50.0)
-        s = PointRobotState(np.zeros(2), np.array([vx, vy]))
+        s = PointRobotState(0.0, 0.0, vx, vy)
         speed = np.linalg.norm(s.velocity)
         for _ in range(40):
             s = point_integrate(s, np.zeros(2), cfg)
@@ -119,9 +120,7 @@ class TestPointStep:
     def test_stays_inside_workspace(self, seed):
         rng = np.random.default_rng(seed)
         cfg = SimConfig(dt=0.05, damping=0.2, workspace=1.0)
-        s = PointRobotState(
-            rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-        )
+        s = PointRobotState(*rng.uniform(-1, 1, 2).tolist(), *rng.uniform(-1, 1, 2).tolist())
         for _ in range(50):
             s = point_integrate(s, rng.uniform(-1, 1, 2), cfg)
             assert np.all(np.abs(s.position) <= 1.0 + 1e-12)
@@ -130,7 +129,7 @@ class TestPointStep:
 class TestArmStep:
     def test_single_joint_torque_kick(self):
         cfg = SimConfig(dt=0.01, damping=0.0, joint_inertia=1.0)
-        s = ArticulatedRobotState(0.0, 0.0, np.zeros(4), np.zeros(4))
+        s = ArticulatedRobotState(0.0, 0.0, ZEROS, ZEROS)
         s2 = arm_integrate(s, np.array([1.0, 0, 0, 0, 0]), cfg)
         assert s2.joint_velocities[0] == pytest.approx(0.01, abs=1e-15)
         assert s2.joint_angles[0] == pytest.approx(1e-4, abs=1e-15)
@@ -148,28 +147,30 @@ class TestArmStep:
 
     def test_angles_wrap_into_half_open_interval(self):
         cfg = SimConfig(dt=0.05, damping=0.0)
-        s = ArticulatedRobotState(
-            0.0, 0.0, np.array([math.pi - 0.01, 0, 0, 0]), np.array([2.0, 0, 0, 0])
-        )
+        s = ArticulatedRobotState(0.0, 0.0, (math.pi - 0.01, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0))
         s2 = arm_integrate(s, np.zeros(5), cfg)
         assert -math.pi < s2.joint_angles[0] <= math.pi
         assert s2.joint_angles[0] < 0  # passed the seam
 
     def test_base_clamped_at_rail_end(self):
         cfg = SimConfig(dt=0.1, damping=0.0, workspace=1.0)
-        s = ArticulatedRobotState(0.99, 1.0, np.zeros(4), np.zeros(4))
+        s = ArticulatedRobotState(0.99, 1.0, ZEROS, ZEROS)
         s2 = arm_integrate(s, np.zeros(5), cfg)
         assert s2.base_x == 1.0
         assert s2.base_speed == 0.0
 
     def test_nonfinite_action_faults(self):
-        s = ArticulatedRobotState(0.0, 0.0, np.zeros(4), np.zeros(4))
+        s = ArticulatedRobotState(0.0, 0.0, ZEROS, ZEROS)
         with pytest.raises(SimulationFault):
             step_robot(s, np.array([np.nan, 0, 0, 0, 0]), BIG)
         with pytest.raises(SimulationFault):
             step_robot(s, np.array([np.inf, 0, 0, 0, 0]), BIG)
         with pytest.raises(SimulationFault):
             arm_integrate(s, np.array([np.inf, 0, 0, 0, 0]), BIG)
+
+
+def bits(points) -> bytes:
+    return np.array(points, dtype=np.float64).tobytes()
 
 
 def fk_oracle(base_x, angles, lengths):
@@ -185,23 +186,21 @@ def fk_oracle(base_x, angles, lengths):
 class TestKinematics:
     def test_straight_up_at_zero_angles(self):
         cfg = SimConfig(link_lengths=(0.1, 0.1, 0.1, 0.1))
-        s = ArticulatedRobotState(0.0, 0.0, np.zeros(4), np.zeros(4))
+        s = ArticulatedRobotState(0.0, 0.0, ZEROS, ZEROS)
         assert np.allclose(end_effector(s, cfg), [0.0, 0.4], atol=1e-15)
 
     def test_first_joint_quarter_turn_lays_arm_flat(self):
         cfg = SimConfig(link_lengths=(0.1, 0.1, 0.1, 0.1))
-        s = ArticulatedRobotState(
-            0.0, 0.0, np.array([math.pi / 2, 0, 0, 0]), np.zeros(4)
-        )
+        s = ArticulatedRobotState(0.0, 0.0, (math.pi / 2, 0.0, 0.0, 0.0), ZEROS)
         assert np.allclose(end_effector(s, cfg), [0.4, 0.0], atol=1e-12)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
         cfg = SimConfig(link_lengths=(0.3, 0.25, 0.2, 0.15))
         for _ in range(20):
-            s = ArticulatedRobotState(
-                rng.uniform(-1, 1), 0.0, rng.uniform(-math.pi, math.pi, 4), np.zeros(4)
-            )
+            base_x = float(rng.uniform(-1, 1))
+            angles = tuple(rng.uniform(-math.pi, math.pi, 4).tolist())
+            s = ArticulatedRobotState(base_x, 0.0, angles, ZEROS)
             want = fk_oracle(s.base_x, s.joint_angles, cfg.link_lengths)
             assert np.allclose(end_effector(s, cfg), want, atol=1e-12)
 
@@ -212,15 +211,15 @@ class TestKinematics:
     @settings(max_examples=80, deadline=None)
     def test_effector_within_reach(self, base_x, angles):
         cfg = SimConfig()
-        s = ArticulatedRobotState(base_x, 0.0, np.array(angles), np.zeros(4))
-        p = end_effector(s, cfg)
+        s = ArticulatedRobotState(base_x, 0.0, tuple(angles), ZEROS)
+        p = np.array(end_effector(s, cfg))
         reach = sum(cfg.link_lengths)
         assert np.linalg.norm(p - [base_x, 0.0]) <= reach + 1e-9
 
     def test_points_chain_is_consistent(self):
         cfg = SimConfig()
-        s = ArticulatedRobotState(0.2, 0.0, np.array([0.3, -0.4, 1.0, 0.2]), np.zeros(4))
-        pts = arm_points(s, cfg)
+        s = ArticulatedRobotState(0.2, 0.0, (0.3, -0.4, 1.0, 0.2), ZEROS)
+        pts = np.array(arm_points(s, cfg))
         assert pts.shape == (5, 2)
         for i in range(4):
             assert np.linalg.norm(pts[i + 1] - pts[i]) == pytest.approx(
@@ -231,21 +230,20 @@ class TestKinematics:
     def test_jacobian_matches_finite_difference(self):
         cfg = SimConfig()
         rng = np.random.default_rng(3)
-        s = ArticulatedRobotState(0.1, 0.0, rng.uniform(-1, 1, 4), np.zeros(4))
+        s = ArticulatedRobotState(0.1, 0.0, tuple(rng.uniform(-1, 1, 4).tolist()), ZEROS)
         jac = arm_jacobian(s, cfg)
         h = 1e-7
         fd = np.zeros((2, 5))
         for j in range(5):
             def shifted(eps):
                 if j == 0:
-                    return ArticulatedRobotState(
-                        s.base_x + eps, 0.0, s.joint_angles, s.joint_velocities
-                    )
-                ang = s.joint_angles.copy()
+                    return s._replace(base_x=s.base_x + eps)
+                ang = list(s.angles)
                 ang[j - 1] += eps
-                return ArticulatedRobotState(s.base_x, 0.0, ang, s.joint_velocities)
+                return s._replace(angles=tuple(ang))
 
-            fd[:, j] = (end_effector(shifted(h), cfg) - end_effector(shifted(-h), cfg)) / (2 * h)
+            ends = [np.array(end_effector(shifted(e), cfg)) for e in (h, -h)]
+            fd[:, j] = (ends[0] - ends[1]) / (2 * h)
         assert np.max(np.abs(jac - fd)) < 1e-6
 
 
@@ -257,20 +255,20 @@ class TestLinkPoints:
     @settings(max_examples=100, deadline=None)
     def test_memo_equals_arm_points_and_is_read_only(self, base_x, angles):
         cfg = SimConfig()
-        s = ArticulatedRobotState(base_x, 0.0, np.array(angles), np.zeros(4))
+        s = ArticulatedRobotState(base_x, 0.0, tuple(angles), ZEROS)
         pts = link_points(s, cfg)
-        assert pts.tobytes() == arm_points(s, cfg).tobytes()
+        assert bits(pts) == bits(arm_points(s, cfg))
         assert link_points(s, cfg) is pts
-        assert end_effector(s, cfg).tobytes() == pts[-1].tobytes()
-        with pytest.raises(ValueError):
-            pts[0, 0] = 9.0
+        assert end_effector(s, cfg) is pts[-1]
+        with pytest.raises(TypeError):
+            pts[0] = (9.0, 9.0)
         # another config gets its own points
         long = SimConfig(link_lengths=(0.5, 0.25, 0.25, 0.5))
-        assert link_points(s, long).tobytes() == arm_points(s, long).tobytes()
+        assert bits(link_points(s, long)) == bits(arm_points(s, long))
 
     def test_memo_is_not_part_of_the_state(self):
-        s = ArticulatedRobotState(0.1, 0.0, np.zeros(4), np.zeros(4))
-        t = ArticulatedRobotState(0.1, 0.0, np.zeros(4), np.zeros(4))
+        s = ArticulatedRobotState(0.1, 0.0, ZEROS, ZEROS)
+        t = ArticulatedRobotState(0.1, 0.0, ZEROS, ZEROS)
         link_points(s, SimConfig())
         assert "_points" not in repr(s)
         assert (s.base_x, s.base_speed) == (t.base_x, t.base_speed)
@@ -348,12 +346,10 @@ class TestGeometry:
 class TestSpeed:
     def test_point_speed_is_euclidean(self):
         w = WorldState(
-            PointRobotState(np.zeros(2), np.array([3.0, 4.0])), np.zeros(2)
+            PointRobotState(0.0, 0.0, 3.0, 4.0), np.zeros(2)
         )
         assert robot_speed(w) == pytest.approx(5.0)
 
     def test_arm_speed_is_max_component(self):
-        s = ArticulatedRobotState(
-            0.0, -0.7, np.zeros(4), np.array([0.2, -0.5, 0.1, 0.0])
-        )
+        s = ArticulatedRobotState(0.0, -0.7, ZEROS, (0.2, -0.5, 0.1, 0.0))
         assert robot_speed(WorldState(s, np.zeros(2))) == pytest.approx(0.7)

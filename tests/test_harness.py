@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from canrl import cli
+from canrl import cli, harness
 from canrl.attributes import obstacle_clearance, run_episodes
 from canrl.cascade import AttributeModule, BaseModule, make_cascade
 from canrl.harness import (
@@ -329,6 +329,27 @@ class TestCascadeDescriptors:
         cascade = load_cascade(tmp_path / "stack.json", loaded.task)
         assert len(cascade.modules) == 1
         assert cascade.modules[0].entity_index == 0
+
+    def test_checkpoint_bound_twice_is_parsed_once(self, tmp_path, monkeypatch):
+        save_base(tmp_path / "b.json", pinned_base())
+        save_module(tmp_path / "m.json", pinned_module(out=(0.2, -0.1)))
+        write_cascade_descriptor(
+            tmp_path / "stack.json",
+            "b.json",
+            [{"checkpoint": "m.json", "entity_binding": 0},
+             {"checkpoint": "m.json", "entity_binding": 1, "weight": 0.5}],
+        )
+        read = []
+        monkeypatch.setattr(harness, "read_json",
+                            lambda path, f=harness.read_json: read.append(path) or f(path))
+        task = load_stock_task("point_two_obstacles").task
+        first, second = load_cascade(tmp_path / "stack.json", task).modules
+        assert sorted(p.name for p in read) == ["b.json", "m.json", "stack.json"]
+        # two modules that share no arrays, each with its own binding and weight
+        assert (first.entity_index, second.entity_index) == (0, 1)
+        assert (first.weight, second.weight) == (1.0, 0.5)
+        for a, b in zip(first.comp_policy.mean_net.weights, second.comp_policy.mean_net.weights):
+            assert not np.shares_memory(a, b) and a.tobytes() == b.tobytes()
 
     def test_unbound_entity_rejected(self, tmp_path):
         save_base(tmp_path / "b.json", pinned_base())

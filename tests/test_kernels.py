@@ -2,8 +2,9 @@
 
 The twins below are the numpy array code the step path ran before it
 moved to Python floats: integrators, wall and rail clamps, obstacle
-drift, contact predicates, the per-world attribute views and the whole
-`step_task`.  Every test checks the kernel against its twin bit for bit.
+drift, arm kinematics, contact predicates, the per-world attribute views
+and the whole `step_task`.  Every test checks the kernel against its twin
+bit for bit.
 The filtered contact predicates are checked against the exact comparison
 they stand for, with radii placed within a few ulps of the distance.
 """
@@ -37,15 +38,16 @@ from canrl.dynamics import (
     PointRobotState,
     SimConfig,
     WorldState,
+    action_limits,
     arm_integrate,
     arm_jacobian,
+    arm_points,
     clamp01,
     link_points,
     planar_norm,
     planar_within,
     point_integrate,
     point_segment_distance,
-    reference_point,
     robot_speed,
     segment_within,
     segments_within,
@@ -53,6 +55,24 @@ from canrl.dynamics import (
 )
 from canrl.errors import SimulationFault
 from canrl.taskio import load_stock_task
+
+# ---------------------------------------------------------------------------
+# states from array-likes
+
+
+def point(pos, vel):
+    return PointRobotState(*map(float, pos), *map(float, vel))
+
+
+def arm(base_x, base_speed, angles, jv):
+    return ArticulatedRobotState(
+        float(base_x), float(base_speed), tuple(map(float, angles)), tuple(map(float, jv))
+    )
+
+
+def disc(center, radius, vel):
+    return ObstacleParams(*map(float, center), float(radius), *map(float, vel))
+
 
 # ---------------------------------------------------------------------------
 # reference twins: the array code
@@ -87,7 +107,7 @@ def ref_point_integrate(state, total_force, cfg):
     x, v = ref_clamp_to_walls(x, v, cfg.workspace)
     if not (np.isfinite(x).all() and np.isfinite(v).all()):
         raise SimulationFault("point state diverged")
-    return PointRobotState(x, v)
+    return point(x, v)
 
 
 def ref_arm_integrate(state, generalized, cfg):
@@ -105,7 +125,7 @@ def ref_arm_integrate(state, generalized, cfg):
         bx, bs = cfg.workspace, 0.0
     if not (np.isfinite(angles).all() and np.isfinite(jv).all()):
         raise SimulationFault("arm state diverged")
-    return ArticulatedRobotState(float(bx), float(bs), angles, jv)
+    return arm(bx, bs, angles, jv)
 
 
 def ref_advance_obstacle(obs, dt, half):
@@ -120,7 +140,24 @@ def ref_advance_obstacle(obs, dt, half):
         elif c[i] > hi:
             c[i] = hi - (c[i] - hi)
             v[i] = -v[i]
-    return ObstacleParams(c, obs.radius, v)
+    return disc(c, obs.radius, v)
+
+
+def ref_arm_points(state, cfg):
+    """Base anchor plus the far end of each link, shape (n_links+1, 2)."""
+    lengths = np.asarray(cfg.link_lengths, dtype=np.float64)
+    cum = np.cumsum(state.joint_angles)
+    pts = np.empty((len(cfg.link_lengths) + 1, 2))
+    pts[0] = (state.base_x, 0.0)
+    pts[1:, 0] = state.base_x + np.cumsum(lengths * np.sin(cum))
+    pts[1:, 1] = 0.0 + np.cumsum(lengths * np.cos(cum))
+    return pts
+
+
+def ref_reference_point(world, cfg):
+    if world.robot_kind == "point":
+        return world.robot.position
+    return ref_arm_points(world.robot, cfg)[-1]
 
 
 def ref_point_segment_distance(p, a, b):
@@ -153,7 +190,7 @@ def ref_touches_disc(world, cfg, obs):
     if world.robot_kind == "point":
         gap = ref_vector_norm(world.robot.position - obs.center)
         return gap <= obs.radius + cfg.robot_radius
-    pts = link_points(world.robot, cfg)
+    pts = ref_arm_points(world.robot, cfg)
     reach = obs.radius + cfg.link_radius
     return any(
         ref_point_segment_distance(obs.center, pts[i], pts[i + 1]) <= reach
@@ -166,7 +203,7 @@ def ref_touches_segment(world, cfg, seg):
         pos = world.robot.position
         prev = pos - world.robot.velocity * cfg.dt
         return bool(ref_segment_segment_distance(prev, pos, seg[0], seg[1]) <= cfg.robot_radius)
-    pts = link_points(world.robot, cfg)
+    pts = ref_arm_points(world.robot, cfg)
     return any(
         ref_segment_segment_distance(pts[i], pts[i + 1], seg[0], seg[1]) <= cfg.link_radius
         for i in range(len(pts) - 1)
@@ -177,7 +214,7 @@ def ref_obstacle_clearance(world, cfg, obs):
     if world.robot_kind == "point":
         gap = ref_vector_norm(world.robot.position - obs.center)
         return gap - obs.radius - cfg.robot_radius
-    pts = link_points(world.robot, cfg)
+    pts = ref_arm_points(world.robot, cfg)
     gap = min(
         ref_point_segment_distance(obs.center, pts[i], pts[i + 1])
         for i in range(len(pts) - 1)
@@ -186,7 +223,7 @@ def ref_obstacle_clearance(world, cfg, obs):
 
 
 def ref_target_reached(world, cfg):
-    return ref_vector_norm(reference_point(world, cfg) - world.target_position) <= cfg.target_radius
+    return ref_vector_norm(ref_reference_point(world, cfg) - world.target_position) <= cfg.target_radius
 
 
 def ref_robot_speed(world):
@@ -205,7 +242,7 @@ def ref_robot_vector(world):
 
 def ref_extract(kind, world, cfg, entity_index=0):
     """One world's view, as the per-world `extract` built it."""
-    ref = reference_point(world, cfg)
+    ref = ref_reference_point(world, cfg)
     robot = ref_robot_vector(world)
     if kind == "reach":
         return np.concatenate([robot, world.target_position - ref])
@@ -227,7 +264,8 @@ def ref_step(task, world, action):
     action = np.asarray(action, dtype=np.float64)
     if not np.isfinite(action).all():
         raise SimulationFault("non-finite action")
-    commanded = np.clip(action, -task.limits, task.limits)
+    limits = action_limits(task.robot, cfg)
+    commanded = np.clip(action, -limits, limits)
     effective = commanded
     if world.disturbance is not None:
         push = world.disturbance.force
@@ -315,6 +353,14 @@ def vec(n, limit):
     return st.lists(coord(limit), min_size=n, max_size=n).map(np.array)
 
 
+def point_state():
+    return st.builds(point, vec(2, 1.2), vec(2, 3.0))
+
+
+def arm_state():
+    return st.builds(arm, coord(1.2), coord(2.0), vec(4, 4.0), vec(4, 3.0))
+
+
 CONFIGS = st.sampled_from([
     SimConfig(),
     SimConfig(dt=0.1, damping=0.0, mass=2.0, workspace=0.5, joint_inertia=0.3),
@@ -335,7 +381,7 @@ class TestIntegrators:
     @given(pos=vec(2, 1.5), vel=vec(2, 3.0), force=vec(2, 40.0), cfg=CONFIGS)
     @settings(max_examples=400, deadline=None)
     def test_point_integrate(self, pos, vel, force, cfg):
-        state = PointRobotState(pos, vel)
+        state = point(pos, vel)
         want = ref_point_integrate(state, force, cfg)
         assert same_robot(point_integrate(state, force, cfg), want)
         assert same_robot(point_integrate(state, force.tolist(), cfg), want)
@@ -346,7 +392,7 @@ class TestIntegrators:
     )
     @settings(max_examples=400, deadline=None)
     def test_arm_integrate(self, base, speed, angles, jv, action, cfg):
-        state = ArticulatedRobotState(base, speed, angles, jv)
+        state = arm(base, speed, angles, jv)
         want = ref_arm_integrate(state, action, cfg)
         assert same_robot(arm_integrate(state, action, cfg), want)
         assert same_robot(arm_integrate(state, action.tolist(), cfg), want)
@@ -354,16 +400,16 @@ class TestIntegrators:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_input_faults_like_the_twin(self, bad):
         cfg = SimConfig()
-        point = PointRobotState(np.zeros(2), np.zeros(2))
-        arm = ArticulatedRobotState(0.0, 0.0, np.zeros(4), np.zeros(4))
+        still = point(np.zeros(2), np.zeros(2))
+        folded = arm(0.0, 0.0, np.zeros(4), np.zeros(4))
         for run in (point_integrate, ref_point_integrate):
             with pytest.raises(SimulationFault):
-                run(point, np.array([bad, 0.0]), cfg)
+                run(still, np.array([bad, 0.0]), cfg)
         for run in (arm_integrate, ref_arm_integrate):
             with pytest.raises(SimulationFault):
-                run(arm, np.array([0.0, 0.0, bad, 0.0, 0.0]), cfg)
+                run(folded, np.array([0.0, 0.0, bad, 0.0, 0.0]), cfg)
         # a state that overflows on the step faults in both too
-        huge = ArticulatedRobotState(0.0, 0.0, np.zeros(4), np.full(4, 1.7e308))
+        huge = arm(0.0, 0.0, np.zeros(4), np.full(4, 1.7e308))
         for run in (arm_integrate, ref_arm_integrate):
             with pytest.raises(SimulationFault), np.errstate(over="ignore", invalid="ignore"):
                 run(huge, np.full(5, 1.0), SimConfig(damping=-10.0))
@@ -381,7 +427,7 @@ class TestIntegrators:
            dt=st.sampled_from([0.05, 0.1, 0.5]), half=st.sampled_from([1.0, 0.5]))
     @settings(max_examples=400, deadline=None)
     def test_advance_obstacle(self, center, vel, radius, dt, half):
-        obs = ObstacleParams(center, radius, vel)
+        obs = disc(center, radius, vel)
         got = advance_obstacle(obs, dt, half)
         want = ref_advance_obstacle(obs, dt, half)
         assert bits(got.center) == bits(want.center)
@@ -390,15 +436,83 @@ class TestIntegrators:
 
 
 # ---------------------------------------------------------------------------
+# arm kinematics and the states themselves
+
+
+ANGLE = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(-1e9, 1e9),
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi, 1e15, -1e15, 5e-324]),
+)
+
+
+class TestArmPoints:
+    @given(
+        cfg=CONFIGS, wall=st.sampled_from([None, 1.0, -1.0]), base=coord(1.2),
+        angles=st.lists(ANGLE, min_size=4, max_size=4),
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_float_points_are_the_array_twin(self, cfg, wall, base, angles):
+        # base at a wall (+-workspace), large angles and -0.0 included
+        base_x = base if wall is None else wall * cfg.workspace
+        s = arm(base_x, 0.0, angles, np.zeros(4))
+        want = ref_arm_points(s, cfg).tobytes()
+        assert bits(arm_points(s, cfg)) == want
+        assert bits(link_points(s, cfg)) == want
+
+    def test_signed_zeros(self):
+        # cumsum keeps a leading -0.0, and base_x + (-0.0) keeps -0.0 only
+        # when base_x is -0.0 itself
+        for base_x in (0.0, -0.0):
+            for angles in ([-0.0] * 4, [0.0, -0.0, 0.0, -0.0], [math.pi, -0.0, 0.0, -math.pi]):
+                s = arm(base_x, 0.0, angles, np.zeros(4))
+                assert bits(arm_points(s, SimConfig())) == ref_arm_points(s, SimConfig()).tobytes()
+
+
+class TestStates:
+    @given(robot=st.one_of(point_state(), arm_state()), center=vec(2, 1.0), vel=vec(2, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_array_properties_are_fresh_float64_arrays(self, robot, center, vel):
+        obs = disc(center, 0.1, vel)
+        views = [("center", (obs.cx, obs.cy), obs), ("velocity", (obs.vx, obs.vy), obs)]
+        if isinstance(robot, PointRobotState):
+            views += [("position", (robot.x, robot.y), robot),
+                      ("velocity", (robot.vx, robot.vy), robot)]
+        else:
+            views += [("joint_angles", robot.angles, robot),
+                      ("joint_velocities", robot.rates, robot)]
+        for name, fields, state in views:
+            arr = getattr(state, name)
+            assert arr.dtype == np.float64 and arr.shape == (len(fields),)
+            assert arr.tobytes() == bits(fields)
+            arr[0] = 99.0  # a fresh copy: writing it leaves the state alone
+            assert getattr(state, name) is not arr
+            assert getattr(state, name).tobytes() == bits(fields)
+
+    def test_fields_cannot_be_assigned(self):
+        p = point([0.1, 0.2], [0.3, 0.4])
+        a = arm(0.1, 0.2, np.zeros(4), np.ones(4))
+        o = disc([0.1, 0.2], 0.1, [0.3, 0.4])
+        for state, name in [
+            (p, "x"), (p, "vy"), (p, "position"), (p, "velocity"),
+            (a, "base_x"), (a, "base_speed"), (a, "angles"), (a, "rates"),
+            (a, "joint_angles"), (a, "joint_velocities"),
+            (o, "cx"), (o, "radius"), (o, "vy"), (o, "center"), (o, "velocity"),
+        ]:
+            with pytest.raises(AttributeError):
+                setattr(state, name, 0.0)
+        assert p == (0.1, 0.2, 0.3, 0.4) and o == (0.1, 0.2, 0.1, 0.3, 0.4)
+        assert a == (0.1, 0.2, (0.0,) * 4, (1.0,) * 4)
+
+    def test_robot_kind_is_a_class_attribute(self):
+        assert PointRobotState.robot_kind == "point"
+        assert ArticulatedRobotState.robot_kind == "arm"
+        world = WorldState(arm(0.0, 0.0, np.zeros(4), np.zeros(4)), np.zeros(2))
+        assert world.robot_kind == "arm"
+
+
+# ---------------------------------------------------------------------------
 # contact predicates and views
-
-
-def point_state():
-    return st.builds(PointRobotState, vec(2, 1.2), vec(2, 3.0))
-
-
-def arm_state():
-    return st.builds(ArticulatedRobotState, coord(1.2), coord(2.0), vec(4, 4.0), vec(4, 3.0))
 
 
 class TestPredicates:
@@ -427,7 +541,7 @@ class TestPredicates:
         if degenerate:
             seg = np.array([seg[0], seg[0]])
         world = WorldState(robot, target)
-        obs = ObstacleParams(center, radius, np.zeros(2))
+        obs = disc(center, radius, np.zeros(2))
         assert robot_touches_disc(world, cfg, obs) == ref_touches_disc(world, cfg, obs)
         assert robot_touches_segment(world, cfg, seg) == ref_touches_segment(world, cfg, seg)
         assert target_reached(world, cfg) == ref_target_reached(world, cfg)
@@ -441,8 +555,8 @@ class TestPredicates:
         cfg = SimConfig()
         reach = 0.1 + cfg.robot_radius
         for gap in (reach, np.nextafter(reach, 1.0), np.nextafter(reach, 0.0)):
-            world = WorldState(PointRobotState(np.array([gap, 0.0]), np.zeros(2)), np.ones(2))
-            obs = ObstacleParams(np.zeros(2), 0.1, np.zeros(2))
+            world = WorldState(point([gap, 0.0], np.zeros(2)), np.ones(2))
+            obs = disc(np.zeros(2), 0.1, np.zeros(2))
             assert robot_touches_disc(world, cfg, obs) == ref_touches_disc(world, cfg, obs)
 
     def test_door_contact_at_the_threshold(self):
@@ -454,27 +568,26 @@ class TestPredicates:
             seen = []
             for gap in near_radii(contact):
                 if robot_kind == "point":
-                    robot = PointRobotState(np.array([gap, 0.0]), np.zeros(2))
+                    robot = point([gap, 0.0], np.zeros(2))
                 else:
-                    robot = ArticulatedRobotState(-gap, 0.0, np.zeros(4), np.zeros(4))
+                    robot = arm(-gap, 0.0, np.zeros(4), np.zeros(4))
                 world = WorldState(robot, np.ones(2))
                 got = robot_touches_segment(world, cfg, door)
                 assert got == ref_touches_segment(world, cfg, door)
                 seen.append(got)
             assert seen[-2:] == [False, True]  # 1e-9 past the range, 1e-9 inside
         # a fast point robot that crossed the door within the step touches it
-        world = WorldState(PointRobotState(np.array([0.05, 0.0]), np.array([2.0, 0.0])), np.ones(2))
+        world = WorldState(point([0.05, 0.0], [2.0, 0.0]), np.ones(2))
         assert robot_touches_segment(world, cfg, door) and ref_touches_segment(world, cfg, door)
 
     def test_arm_contact_at_the_threshold(self):
         # an upright arm's third link beside a disc, at the contact range,
         # an ulp either side and 1e-9 either side
         cfg = SimConfig()
-        arm = ArticulatedRobotState(0.0, 0.0, np.zeros(4), np.zeros(4))
-        world = WorldState(arm, np.ones(2))
+        world = WorldState(arm(0.0, 0.0, np.zeros(4), np.zeros(4)), np.ones(2))
         seen = []
         for gap in near_radii(0.1 + cfg.link_radius):
-            obs = ObstacleParams(np.array([gap, 0.6]), 0.1, np.zeros(2))
+            obs = disc([gap, 0.6], 0.1, np.zeros(2))
             got = robot_touches_disc(world, cfg, obs)
             assert got == ref_touches_disc(world, cfg, obs)
             seen.append(got)
@@ -686,17 +799,18 @@ class TestStepTask:
         world = reset(task, 1.0, np.random.default_rng(seed))
         half = task.cfg.workspace
         if task.robot == "point":
-            world.robot = PointRobotState(
-                data.draw(vec(2, half + 0.2)), data.draw(vec(2, 3.0))
-            )
+            world.robot = point(data.draw(vec(2, half + 0.2)), data.draw(vec(2, 3.0)))
         else:
-            world.robot = ArticulatedRobotState(
+            world.robot = arm(
                 data.draw(coord(half + 0.2)), data.draw(coord(3.0)),
                 data.draw(vec(4, 4.0)), data.draw(vec(4, 3.0)),
             )
+        obstacles = []
         for o in world.obstacles:
             lim = half - o.radius + 0.05
-            o.center, o.velocity = data.draw(vec(2, lim)), data.draw(vec(2, 2.0))
+            center = data.draw(vec(2, lim))
+            obstacles.append(disc(center, o.radius, data.draw(vec(2, 2.0))))
+        world.obstacles = obstacles
         action = data.draw(action_for(task.action_dim))
         got = step_task(task, world, action)
         want = ref_step(task, world, action)

@@ -396,8 +396,8 @@ class TestArmPointsTwin:
         for _ in range(50):
             angles = signed_zeros(rng, rng.uniform(-2 * math.pi, 2 * math.pi, 4), frac=0.3)
             base_x = float(rng.choice([rng.uniform(-1, 1), 0.0, -0.0]))
-            s = ArticulatedRobotState(base_x, 0.0, angles, np.zeros(4))
-            assert arm_points(s, cfg).tobytes() == ref_arm_points(s, cfg).tobytes()
+            s = ArticulatedRobotState(base_x, 0.0, tuple(angles.tolist()), (0.0,) * 4)
+            assert np.array(arm_points(s, cfg)).tobytes() == ref_arm_points(s, cfg).tobytes()
 
     def test_link_array_is_built_once_and_read_only(self):
         cfg = SimConfig()
