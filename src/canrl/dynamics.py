@@ -144,10 +144,6 @@ class WorldState:
     speed_profile: "SpeedLimitProfile | None" = None
     disturbance: "DisturbanceForce | None" = None
 
-    @property
-    def robot_kind(self) -> str:
-        return self.robot.robot_kind
-
 
 def wrap_angle(a: float) -> float:
     """Wrap to (-pi, pi], with the bits of the array form

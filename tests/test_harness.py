@@ -167,7 +167,7 @@ class TestEvaluate:
 
 def _robot_fields(world):
     r = world.robot
-    if world.robot_kind == "point":
+    if world.robot.robot_kind == "point":
         return {"position": r.position.tolist(), "velocity": r.velocity.tolist()}
     return {
         "base_x": float(r.base_x),

@@ -155,7 +155,7 @@ def ref_arm_points(state, cfg):
 
 
 def ref_reference_point(world, cfg):
-    if world.robot_kind == "point":
+    if world.robot.robot_kind == "point":
         return world.robot.position
     return ref_arm_points(world.robot, cfg)[-1]
 
@@ -187,7 +187,7 @@ def ref_segment_segment_distance(p0, p1, q0, q1):
 
 
 def ref_touches_disc(world, cfg, obs):
-    if world.robot_kind == "point":
+    if world.robot.robot_kind == "point":
         gap = ref_vector_norm(world.robot.position - obs.center)
         return gap <= obs.radius + cfg.robot_radius
     pts = ref_arm_points(world.robot, cfg)
@@ -199,7 +199,7 @@ def ref_touches_disc(world, cfg, obs):
 
 
 def ref_touches_segment(world, cfg, seg):
-    if world.robot_kind == "point":
+    if world.robot.robot_kind == "point":
         pos = world.robot.position
         prev = pos - world.robot.velocity * cfg.dt
         return bool(ref_segment_segment_distance(prev, pos, seg[0], seg[1]) <= cfg.robot_radius)
@@ -211,7 +211,7 @@ def ref_touches_segment(world, cfg, seg):
 
 
 def ref_obstacle_clearance(world, cfg, obs):
-    if world.robot_kind == "point":
+    if world.robot.robot_kind == "point":
         gap = ref_vector_norm(world.robot.position - obs.center)
         return gap - obs.radius - cfg.robot_radius
     pts = ref_arm_points(world.robot, cfg)
@@ -227,7 +227,7 @@ def ref_target_reached(world, cfg):
 
 
 def ref_robot_speed(world):
-    if world.robot_kind == "point":
+    if world.robot.robot_kind == "point":
         return ref_vector_norm(world.robot.velocity)
     r = world.robot
     return float(max(np.max(np.abs(r.joint_velocities)), abs(r.base_speed)))
@@ -235,7 +235,7 @@ def ref_robot_speed(world):
 
 def ref_robot_vector(world):
     r = world.robot
-    if world.robot_kind == "point":
+    if world.robot.robot_kind == "point":
         return np.concatenate([r.position, r.velocity])
     return np.concatenate([[r.base_x, r.base_speed], r.joint_angles, r.joint_velocities])
 
@@ -505,10 +505,8 @@ class TestStates:
         assert a == (0.1, 0.2, (0.0,) * 4, (1.0,) * 4)
 
     def test_robot_kind_is_a_class_attribute(self):
-        assert PointRobotState.robot_kind == "point"
-        assert ArticulatedRobotState.robot_kind == "arm"
-        world = WorldState(arm(0.0, 0.0, np.zeros(4), np.zeros(4)), np.zeros(2))
-        assert world.robot_kind == "arm"
+        assert (PointRobotState.robot_kind, ArticulatedRobotState.robot_kind) == ("point", "arm")
+        assert "robot_kind" not in PointRobotState._fields + ArticulatedRobotState._fields
 
 
 # ---------------------------------------------------------------------------
