@@ -519,10 +519,10 @@ def _sample_world(task: Task, level: float, rng: np.random.Generator, mode: str)
         ub = rng.uniform()
         base_x = _lerp_box(base_center, -w, w, level, ub)
         ua = rng.uniform(size=4)
-        angles = tuple(
+        angles = tuple([
             float(wrap_angle(_lerp_box(angle_center[i], -math.pi, math.pi, level, ua[i])))
             for i in range(4)
-        )
+        ])
         jv = (level * INIT_SPEED_RANGE * rng.uniform(-1.0, 1.0, size=4)).tolist()
         bs = level * INIT_SPEED_RANGE * float(rng.uniform(-1.0, 1.0))
         robot = ArticulatedRobotState(float(base_x), bs, angles, tuple(jv))

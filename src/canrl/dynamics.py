@@ -224,7 +224,9 @@ def arm_integrate(
         raise SimulationFault("arm state diverged")
     bs = decay * state.base_speed + (base_force / cfg.mass) * dt
     bx, bs = _clamp_to_wall(state.base_x + bs * dt, bs, cfg.workspace)
-    return ArticulatedRobotState(bx, bs, tuple(map(wrap_angle, angles)), tuple(jv))
+    # tuples from lists: one built from an iterator is allocated long and
+    # shrunk, and once freed it sits on the interpreter's tuple free list
+    return ArticulatedRobotState(bx, bs, tuple([wrap_angle(a) for a in angles]), tuple(jv))
 
 
 def arm_points(
@@ -236,7 +238,7 @@ def arm_points(
     The bits are those of `base_x + np.cumsum(L * np.sin(np.cumsum(q)))`
     and `0.0 + np.cumsum(L * np.cos(...))`.
     """
-    cum = np.array(tuple(accumulate(state.angles)))
+    cum = np.array(list(accumulate(state.angles)))
     lengths = cfg.link_lengths
     xs = accumulate(map(mul, lengths, np.sin(cum).tolist()))
     ys = accumulate(map(mul, lengths, np.cos(cum).tolist()))
