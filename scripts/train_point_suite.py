@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from canrl.harness import (
+    MODULE_RECIPES,
     RunConfig,
     cascade_actor,
     evaluate_policy,
@@ -19,14 +20,6 @@ from canrl.harness import (
     write_cascade_descriptor,
 )
 from canrl.taskio import load_stock_task
-
-# (task, seed, budget, keep training after the curriculum tops out)
-MODULES = [
-    ("point_obstacle", 1, 200, True),
-    ("point_door", 1, 300, False),
-    ("point_speed", 1, 100, True),
-    ("point_force", 1, 300, False),
-]
 
 
 def main():
@@ -47,15 +40,10 @@ def main():
     )
 
     report = {}
-    for task_name, seed, budget, past_terminal in MODULES:
+    for task_name, run in MODULE_RECIPES.items():
         loaded = load_stock_task(task_name)
         mod_path = out / f"{task_name.removeprefix('point_')}.json"
-        run_train_attribute(
-            base_path, loaded, mod_path,
-            RunConfig(seed=seed, max_iterations=budget,
-                      stop_at_terminal=not past_terminal),
-            emit,
-        )
+        run_train_attribute(base_path, loaded, mod_path, run, emit)
         desc_path = out / f"stack_{task_name.removeprefix('point_')}.json"
         write_cascade_descriptor(
             desc_path, "base.json",

@@ -369,6 +369,15 @@ class RunConfig:
     stop_at_terminal: bool = True
 
 
+# the attribute training runs behind the reported point-robot numbers
+MODULE_RECIPES = {
+    "point_obstacle": RunConfig(seed=1, max_iterations=200, stop_at_terminal=False),
+    "point_door": RunConfig(seed=1, max_iterations=300),
+    "point_speed": RunConfig(seed=1, max_iterations=100, stop_at_terminal=False),
+    "point_force": RunConfig(seed=1, max_iterations=300),
+}
+
+
 def _progress_printer(tag: str, emit: Callable[[str], None] | None):
     if emit is None:
         return None

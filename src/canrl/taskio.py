@@ -1,5 +1,5 @@
-"""Task files: JSON in, validated Task + CurriculumConfig out, plus the
-stock task definitions used by the experiment scripts."""
+"""Task files: JSON in, validated Task + CurriculumConfig out.  The stock
+tasks are the files in the repository's tasks/ directory."""
 
 from __future__ import annotations
 
@@ -15,6 +15,10 @@ from .curriculum import CurriculumConfig
 from .dynamics import SimConfig
 from .errors import TaskConfigError
 
+# the JSON type of each section of a task file; no other keys are allowed
+_SECTIONS = {"sim": dict, "nominal": dict, "addons": list, "curriculum": dict}
+_TASK_KEYS = {"robot", "name", *_SECTIONS}
+
 _SIM_KEYS = {
     "dt", "horizon", "mass", "damping", "force_limit", "torque_limit",
     "joint_inertia", "link_lengths", "target_radius", "workspace",
@@ -28,10 +32,15 @@ _ADDON_REQUIRED = {
     "force": {"magnitude", "heading"},
 }
 
-# what each add-on's parameters must satisfy, checked at parse time so a
-# bad file fails here and not mid-episode; a NaN or non-number fails too
+# checked at parse time so a bad file fails here and not mid-episode: the
+# add-on parameters that are lists of finite numbers (every other one is a
+# finite number), and what each add-on's parameters must satisfy
+_LIST_PARAMS = {"center", "times", "limits"}
 _ADDON_RULES = {
-    "obstacle": (("radius > 0", lambda p: p["radius"] > 0),),
+    "obstacle": (
+        ("radius > 0", lambda p: p["radius"] > 0),
+        ("a planar center", lambda p: len(p["center"]) == 2),
+    ),
     "door": (
         ("period > 0", lambda p: p["period"] > 0),
         ("0 <= open_fraction <= 1", lambda p: 0 <= p["open_fraction"] <= 1),
@@ -92,6 +101,10 @@ def _finite(v) -> bool:
         return False
 
 
+def _finite_list(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(_finite, v))
+
+
 def _positive(v) -> bool:
     return _finite(v) and v > 0
 
@@ -124,26 +137,22 @@ def _parse_sim(robot: str, spec: dict) -> SimConfig:
     return cfg
 
 
+def _coords(spec: dict, key: str, n: int, default=None) -> np.ndarray:
+    value = spec.get(key, default)
+    if not (_finite_list(value) and len(value) == n):
+        raise TaskConfigError(f"nominal {key} must be a list of {n} finite numbers, got {value!r}")
+    return np.asarray(value, dtype=float)
+
+
 def _parse_nominal(robot: str, spec: dict) -> Nominal:
-    try:
-        target = np.asarray(spec["target"], dtype=float)
-    except KeyError:
-        raise TaskConfigError("nominal needs a target") from None
-    if target.shape != (2,):
-        raise TaskConfigError("nominal target must be a planar point")
+    target = _coords(spec, "target", 2)
     if robot == "point":
-        if "position" not in spec:
-            raise TaskConfigError("point nominal needs a position")
-        pos = np.asarray(spec["position"], dtype=float)
-        if pos.shape != (2,):
-            raise TaskConfigError("nominal position must be a planar point")
-        return Nominal(target=target, position=pos)
-    angles = np.asarray(spec.get("joint_angles", [0.0] * 4), dtype=float)
-    if angles.shape != (4,):
-        raise TaskConfigError("nominal joint_angles must have four entries")
-    return Nominal(
-        target=target, base_x=float(spec.get("base_x", 0.0)), joint_angles=angles
-    )
+        return Nominal(target=target, position=_coords(spec, "position", 2))
+    base_x = spec.get("base_x", 0.0)
+    if not _finite(base_x):
+        raise TaskConfigError(f"nominal base_x must be a finite number, got {base_x!r}")
+    angles = _coords(spec, "joint_angles", 4, [0.0] * 4)
+    return Nominal(target=target, base_x=float(base_x), joint_angles=angles)
 
 
 def _parse_addons(spec: list) -> list[AddonSetup]:
@@ -154,7 +163,12 @@ def _parse_addons(spec: list) -> list[AddonSetup]:
         kind = item["type"]
         if kind not in ATTRIBUTE_KINDS or kind == "reach":
             raise TaskConfigError(f"addon {i}: unknown type {kind!r}")
-        params = dict(item.get("params", {}))
+        params = item.get("params", {})
+        if not isinstance(params, dict):
+            raise TaskConfigError(f"addon {i} ({kind}): params must be a JSON object")
+        for key, v in params.items():
+            if not (_finite_list if key in _LIST_PARAMS else _finite)(v):
+                raise TaskConfigError(f"addon {i} ({kind}): {key} must be finite, got {v!r}")
         missing = _ADDON_REQUIRED[kind] - set(params)
         if missing:
             raise TaskConfigError(f"addon {i} ({kind}): missing {sorted(missing)}")
@@ -165,7 +179,7 @@ def _parse_addons(spec: list) -> list[AddonSetup]:
                 ok = False
             if not ok:
                 raise TaskConfigError(f"addon {i} ({kind}): needs {rule}")
-        out.append(AddonSetup(kind, params))
+        out.append(AddonSetup(kind, dict(params)))
     return out
 
 
@@ -182,9 +196,15 @@ def _parse_curriculum(spec: dict) -> CurriculumConfig:
 def parse_task(raw: dict) -> LoadedTask:
     if not isinstance(raw, dict):
         raise TaskConfigError("task file must hold a JSON object")
+    unknown = set(raw) - _TASK_KEYS
+    if unknown:
+        raise TaskConfigError(f"unknown task keys: {sorted(unknown)}")
     robot = raw.get("robot")
     if robot not in ("point", "arm"):
         raise TaskConfigError(f"robot must be 'point' or 'arm', got {robot!r}")
+    for key, kind in _SECTIONS.items():
+        if not isinstance(raw.get(key, kind()), kind):
+            raise TaskConfigError(f"{key} must be a JSON {'object' if kind is dict else 'array'}")
     cfg = _parse_sim(robot, raw.get("sim", {}))
     nominal = _parse_nominal(robot, raw.get("nominal", {}))
     addons = _parse_addons(raw.get("addons", []))
@@ -193,137 +213,28 @@ def parse_task(raw: dict) -> LoadedTask:
     return LoadedTask(task, curriculum, raw)
 
 
-def load_task(path: str | Path) -> LoadedTask:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"task file not found: {path}")
+def _read_task_file(path: Path):
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise TaskConfigError(f"{path} is not valid JSON: {exc}") from None
-    return parse_task(raw)
+        return json.loads(path.read_text())
+    except FileNotFoundError:
+        raise FileNotFoundError(f"task file not found: {path}") from None
+    except (OSError, ValueError) as exc:  # a directory, not UTF-8, not JSON
+        raise TaskConfigError(f"cannot read task file {path}: {exc}") from None
 
 
-# ---------------------------------------------------------------------------
-# stock tasks
-
-def _point_base() -> dict:
-    return {
-        "robot": "point",
-        "nominal": {"position": [-0.5, 0.0], "target": [0.5, 0.0]},
-        "addons": [],
-        "curriculum": {
-            "mode": "rcl", "initial_level": 0.1, "lambda": 1.2,
-            "threshold": 0.8, "queue_capacity": 10, "min_entries": 3,
-            "terminal_level": 1.0,
-        },
-    }
+def load_task(path: str | Path) -> LoadedTask:
+    return parse_task(_read_task_file(Path(path)))
 
 
-def _arm_base() -> dict:
-    return {
-        "robot": "arm",
-        "nominal": {"base_x": -0.4, "joint_angles": [0, 0, 0, 0], "target": [0.45, 0.5]},
-        "addons": [],
-        "curriculum": {
-            "mode": "rcl", "initial_level": 0.1, "lambda": 1.2,
-            "threshold": 0.5, "queue_capacity": 10, "min_entries": 3,
-            "terminal_level": 1.0,
-        },
-    }
-
-
-OBSTACLE_PARAMS = {"center": [0.0, 0.0], "radius": 0.1, "speed": 0.25, "heading": math.pi / 2}
-SECOND_OBSTACLE_PARAMS = {"center": [0.2, 0.35], "radius": 0.1, "speed": 0.25, "heading": -math.pi / 2}
-DOOR_PARAMS = {"x": 0.0, "y_lo": -0.6, "y_hi": 0.6, "period": 2.5, "open_fraction": 0.65}
-# the dip shaves the 1.25 cruise speed by a third: deep enough to force real
-# braking, shallow enough that early training (compensation weight still
-# ramping) is not drowned in penalties it cannot yet prevent
-SPEED_PARAMS = {"times": [0.0, 3.0, 6.0, 10.0], "limits": [1.3, 0.9, 0.9, 1.3], "coeff": 0.3}
-FORCE_PARAMS = {"magnitude": 0.4, "heading": 0.6}
-
-ARM_OBSTACLE_PARAMS = {"center": [0.15, 0.55], "radius": 0.1, "speed": 0.2, "heading": math.pi}
-ARM_DOOR_PARAMS = {"x": 0.1, "y_lo": 0.15, "y_hi": 0.75, "period": 2.5, "open_fraction": 0.5}
-ARM_SPEED_PARAMS = {"times": [0.0, 4.0, 8.0, 15.0], "limits": [1.2, 0.8, 0.8, 1.2], "coeff": 0.3}
-ARM_FORCE_PARAMS = {"magnitude": 0.3, "heading": -math.pi / 4}
-
-
-def stock_task_dict(name: str) -> dict:
-    """Task definitions shipped with the package, by name."""
-    d = _stock_task_dict(name)
-    d["name"] = name
-    return d
-
-
-def _stock_task_dict(name: str) -> dict:
-    point_addons = {
-        "obstacle": ("obstacle", OBSTACLE_PARAMS, 0.3),
-        "door": ("door", DOOR_PARAMS, 0.6),
-        "speed": ("speed", SPEED_PARAMS, 0.5),
-        "force": ("force", FORCE_PARAMS, 0.6),
-    }
-    arm_addons = {
-        "obstacle": ("obstacle", ARM_OBSTACLE_PARAMS, 0.35),
-        "door": ("door", ARM_DOOR_PARAMS, 0.35),
-        "speed": ("speed", ARM_SPEED_PARAMS, 0.3),
-        "force": ("force", ARM_FORCE_PARAMS, 0.35),
-    }
-    if name == "point_reach":
-        return _point_base()
-    if name == "arm_reach":
-        return _arm_base()
-    if name == "point_two_obstacles":
-        d = _point_base()
-        # faster than the single-obstacle trainer so avoidance actually
-        # separates a compensated policy from the bare base
-        d["addons"] = [
-            {"type": "obstacle", "params": dict(OBSTACLE_PARAMS, speed=0.35)},
-            {"type": "obstacle", "params": dict(SECOND_OBSTACLE_PARAMS, speed=0.35)},
-        ]
-        d["curriculum"]["mode"] = "cl"
-        d["curriculum"]["threshold"] = 0.5
-        return d
-    for prefix, addon_map, builder in (
-        ("point_", point_addons, _point_base),
-        ("arm_", arm_addons, _arm_base),
-    ):
-        if name.startswith(prefix):
-            key = name[len(prefix):]
-            if key in addon_map:
-                kind, params, threshold = addon_map[key]
-                d = builder()
-                d["addons"] = [{"type": kind, "params": dict(params)}]
-                d["curriculum"]["mode"] = "cl"
-                d["curriculum"]["threshold"] = threshold
-                if name == "point_obstacle":
-                    # corner-to-corner crossing straight through the patrol
-                    # area: the moving disc sits on the only sensible route,
-                    # and the distance is too far to reach by wandering.  The
-                    # deep starting level keeps the early draws pinned to the
-                    # corners, which is what makes that distance binding.
-                    d["nominal"] = {"position": [-0.8, -0.55], "target": [0.8, 0.55]}
-                    d["curriculum"]["initial_level"] = 0.01
-                return d
-    raise KeyError(f"no stock task named {name!r}")
-
-
-STOCK_TASK_NAMES = (
-    "point_reach", "point_obstacle", "point_door", "point_speed", "point_force",
-    "point_two_obstacles",
-    "arm_reach", "arm_obstacle", "arm_door", "arm_speed", "arm_force",
-)
+# The stock tasks are the files in tasks/ at the repository root, which an
+# editable install or a checkout on the path finds from here.
+TASKS_DIR = Path(__file__).resolve().parents[2] / "tasks"
+STOCK_TASK_NAMES = tuple(sorted(p.stem for p in TASKS_DIR.glob("*.json")))
 
 
 def load_stock_task(name: str) -> LoadedTask:
-    return parse_task(stock_task_dict(name))
-
-
-def write_stock_tasks(directory: str | Path) -> list[Path]:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in STOCK_TASK_NAMES:
-        path = directory / f"{name}.json"
-        path.write_text(json.dumps(stock_task_dict(name), indent=2, sort_keys=True) + "\n")
-        written.append(path)
-    return written
+    """A stock task by name; each call reads the file again.  Not through
+    `load_task`, so a traced run records one load span per task."""
+    if name not in STOCK_TASK_NAMES:
+        raise KeyError(f"no stock task named {name!r} in {TASKS_DIR}")
+    return parse_task(_read_task_file(TASKS_DIR / f"{name}.json"))

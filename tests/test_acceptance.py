@@ -29,6 +29,7 @@ from canrl.cascade import make_cascade
 from canrl.curriculum import CurriculumConfig, CurriculumState, curriculum_update
 from canrl.dynamics import PointRobotState, WorldState
 from canrl.harness import (
+    MODULE_RECIPES,
     RunConfig,
     base_actor,
     cascade_actor,
@@ -46,14 +47,6 @@ from canrl import cli
 
 EVAL_SEED = 100
 PROFILE_SEED = 200
-
-# attribute trainer settings: (seed, iteration budget, train past terminal)
-MODULE_RECIPES = {
-    "point_obstacle": (1, 200, True),
-    "point_door": (1, 300, False),
-    "point_speed": (1, 100, True),
-    "point_force": (1, 300, False),
-}
 
 
 def verdict(capsys, num, ok, detail):
@@ -94,12 +87,12 @@ def arm_base():
 def modules(point_base):
     base_result, _ = point_base
     trained = {}
-    for name, (seed, budget, past_terminal) in MODULE_RECIPES.items():
+    for name, run in MODULE_RECIPES.items():
         loaded = load_stock_task(name)
         result = train_attribute(
             base_result.base, loaded.task, PPOConfig(), loaded.curriculum,
-            seed=seed, max_iterations=budget,
-            stop_at_terminal=not past_terminal,
+            seed=run.seed, max_iterations=run.max_iterations,
+            stop_at_terminal=run.stop_at_terminal,
         )
         trained[name] = (result, loaded)
     return trained

@@ -1,7 +1,7 @@
 """Attribute rewards, views, reset sampling, and the environment step."""
 
+import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,11 +42,11 @@ from canrl.dynamics import (
 )
 from canrl.errors import DimensionError, InfeasibleTaskError, TaskConfigError
 from canrl.taskio import (
+    STOCK_TASK_NAMES,
+    TASKS_DIR,
     load_stock_task,
     load_task,
     point_sim_config,
-    stock_task_dict,
-    write_stock_tasks,
 )
 
 CFG = point_sim_config()
@@ -324,7 +324,7 @@ class TestReset:
             )
 
     def test_impossible_spawn_raises(self):
-        d = stock_task_dict("point_obstacle")
+        d = load_stock_task("point_obstacle").raw
         d["addons"][0]["params"]["center"] = [-0.8, -0.55]  # on the nominal start
         from canrl.taskio import parse_task
         loaded = parse_task(d)
@@ -365,7 +365,7 @@ class TestStepTask:
         assert "reached_target" in events
 
     def test_obstacle_contact_scores_both_channels(self):
-        d = stock_task_dict("point_obstacle")
+        d = load_stock_task("point_obstacle").raw
         d["addons"][0]["params"]["speed"] = 0.0
         from canrl.taskio import parse_task
         task = parse_task(d).task
@@ -445,14 +445,16 @@ class TestTaskValidation:
                 ],
             )
 
-    def test_stock_task_files_are_current(self, tmp_path):
-        # tasks/ is the output of write_stock_tasks; every file must parse
-        shipped = Path(__file__).resolve().parent.parent / "tasks"
-        written = write_stock_tasks(tmp_path)
-        assert sorted(p.name for p in written) == sorted(p.name for p in shipped.glob("*.json"))
-        for path in written:
-            assert path.read_bytes() == (shipped / path.name).read_bytes()
-            load_task(shipped / path.name)
+    def test_stock_task_files_are_canonical(self):
+        # tasks/ is the only definition of the stock tasks; each file loads,
+        # is named for its stem and is kept in the canonical JSON form
+        paths = sorted(TASKS_DIR.glob("*.json"))
+        assert STOCK_TASK_NAMES == tuple(p.stem for p in paths)
+        assert len(paths) == 11
+        for path in paths:
+            raw = load_task(path).raw
+            assert raw["name"] == path.stem
+            assert path.read_bytes() == (json.dumps(raw, indent=2, sort_keys=True) + "\n").encode()
 
     def test_two_obstacles_allowed(self):
         loaded = load_stock_task("point_two_obstacles")

@@ -29,7 +29,7 @@ from canrl.harness import (
 from canrl.errors import TaskConfigError
 from canrl.nets import DenseNet, GaussianPolicy
 from canrl.ppo import EVAL_STREAM, episode_rng
-from canrl.taskio import load_stock_task, stock_task_dict
+from canrl.taskio import load_stock_task
 
 
 def servo(worlds, rngs):
@@ -565,7 +565,7 @@ class TestCli:
     ], ids=["door_period", "door_open_fraction", "door_span", "speed_times_order",
             "speed_times_length", "obstacle_radius"])
     def test_eval_bad_addon_exits_2(self, tmp_path, task, change):
-        d = stock_task_dict(task)
+        d = load_stock_task(task).raw
         d["addons"][0]["params"].update(change)
         (tmp_path / "task.json").write_text(json.dumps(d))
         save_base(tmp_path / "b.json", pinned_base())
@@ -594,7 +594,7 @@ class TestCli:
             "target_radius_huge_int", "arm_two_links", "arm_zero_link",
             "arm_inertia_nan"])
     def test_eval_bad_sim_exits_2(self, tmp_path, capsys, task, change):
-        d = stock_task_dict(task)
+        d = load_stock_task(task).raw
         d["sim"] = change
         (tmp_path / "task.json").write_text(json.dumps(d))
         rng = np.random.default_rng(0)
@@ -608,6 +608,60 @@ class TestCli:
         )
         assert rc == 2
         assert f"sim.{next(iter(change))}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, edit, message", [
+        ("point_reach", lambda d: d["nominal"].update(target=["a", 0]), "nominal target"),
+        ("point_reach", lambda d: d["nominal"].update(target=[float("nan"), 0]),
+         "nominal target"),
+        ("point_reach", lambda d: d["nominal"].update(position=[float("inf"), 0]),
+         "nominal position"),
+        ("arm_reach", lambda d: d["nominal"].update(base_x="abc"), "nominal base_x"),
+        ("arm_reach", lambda d: d["nominal"].update(joint_angles=[0, "a", 0, 0]),
+         "nominal joint_angles"),
+        ("point_reach", lambda d: d.update(nominal=[[-0.5, 0.0], [0.5, 0.0]]),
+         "nominal must be a JSON object"),
+        ("point_reach", lambda d: d.update(curriculum=[0.1, 1.2]),
+         "curriculum must be a JSON object"),
+        ("point_reach", lambda d: d.update(sim=[0.05]), "sim must be a JSON object"),
+        ("point_force", lambda d: d["addons"][0].update(params=[0.4, 0.6]),
+         "params must be a JSON object"),
+        ("point_force", lambda d: d["addons"][0]["params"].update(magnitude="x"), "magnitude"),
+        ("point_obstacle", lambda d: d["addons"][0]["params"].update(center=[0.0]),
+         "planar center"),
+        ("point_obstacle", lambda d: d.update(addon=d.pop("addons")), "unknown task keys"),
+    ], ids=["target_string", "target_nan", "position_inf", "arm_base_x_string",
+            "arm_joint_angle_string", "nominal_list", "curriculum_list", "sim_list",
+            "params_list", "force_magnitude_string", "obstacle_center_short",
+            "misspelled_addons"])
+    def test_eval_bad_task_exits_2(self, tmp_path, capsys, task, edit, message):
+        d = load_stock_task(task).raw
+        edit(d)
+        (tmp_path / "task.json").write_text(json.dumps(d))
+        rng = np.random.default_rng(0)
+        base = pinned_base() if task.startswith("point") else BaseModule(
+            "arm", GaussianPolicy.create(12, 5, rng), DenseNet.create([12, 8, 1], rng), frozen=True
+        )
+        save_base(tmp_path / "b.json", base)
+        rc = cli.main(
+            ["eval", "--task", str(tmp_path / "task.json"), "--base", str(tmp_path / "b.json"),
+             "--episodes", "1"]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"robot": "point",', None],
+                             ids=["not_utf8", "not_json", "directory"])
+    def test_eval_unreadable_task_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "task.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        save_base(tmp_path / "b.json", pinned_base())
+        rc = cli.main(["eval", "--task", str(path), "--base", str(tmp_path / "b.json")])
+        assert rc == 2
+        assert "cannot read task file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "train-base"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):
