@@ -35,7 +35,7 @@ _ADDON_REQUIRED = {
 # checked at parse time so a bad file fails here and not mid-episode: the
 # add-on parameters that are lists of finite numbers (every other one is a
 # finite number), and what each add-on's parameters must satisfy
-_LIST_PARAMS = {"center", "times", "limits"}
+_ADDON_LISTS = {"center", "times", "limits"}
 _ADDON_RULES = {
     "obstacle": (
         ("radius > 0", lambda p: p["radius"] > 0),
@@ -167,7 +167,7 @@ def _parse_addons(spec: list) -> list[AddonSetup]:
         if not isinstance(params, dict):
             raise TaskConfigError(f"addon {i} ({kind}): params must be a JSON object")
         for key, v in params.items():
-            if not (_finite_list if key in _LIST_PARAMS else _finite)(v):
+            if not (_finite_list if key in _ADDON_LISTS else _finite)(v):
                 raise TaskConfigError(f"addon {i} ({kind}): {key} must be finite, got {v!r}")
         missing = _ADDON_REQUIRED[kind] - set(params)
         if missing:
