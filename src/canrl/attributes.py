@@ -12,6 +12,7 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -32,7 +33,6 @@ from .dynamics import (
     planar_within,
     point_integrate,
     point_segment_distance,
-    reference_point,
     robot_speed,
     segment_within,
     segments_within,
@@ -130,21 +130,23 @@ class DisturbanceForce:
     force: np.ndarray  # planar, applied to the body / at the end effector
 
 
-def _bounce(c: float, v: float, lo: float, hi: float) -> tuple[float, float]:
-    if c < lo:
-        return lo + (lo - c), -v
-    if c > hi:
-        return hi - (c - hi), -v
-    return c, v
-
-
 def advance_obstacle(obs: ObstacleParams, dt: float, half: float) -> ObstacleParams:
     """Constant-velocity drift with elastic bounces off the arena walls."""
     cx, cy, radius, vx, vy = obs
     hi = half - radius
-    cx, vx = _bounce(cx + vx * dt, vx, -hi, hi)
-    cy, vy = _bounce(cy + vy * dt, vy, -hi, hi)
-    return ObstacleParams(cx, cy, radius, vx, vy)
+    lo = -hi
+    cx += vx * dt
+    if cx < lo:
+        cx, vx = lo + (lo - cx), -vx
+    elif cx > hi:
+        cx, vx = hi - (cx - hi), -vx
+    cy += vy * dt
+    if cy < lo:
+        cy, vy = lo + (lo - cy), -vy
+    elif cy > hi:
+        cy, vy = hi - (cy - hi), -vy
+    # ObstacleParams(...) without the named tuple's Python-level __new__
+    return tuple.__new__(ObstacleParams, (cx, cy, radius, vx, vy))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +188,10 @@ def obstacle_clearance(world: WorldState, cfg: SimConfig, obs: ObstacleParams) -
 
 
 def target_reached(world: WorldState, cfg: SimConfig) -> bool:
-    rx, ry = reference_point(world, cfg)
+    """Whether the reference point (the point robot itself, or the arm's
+    end effector) is within the target radius."""
+    robot = world.robot
+    rx, ry = (robot.x, robot.y) if robot.robot_kind == "point" else link_points(robot, cfg)[-1]
     tx, ty = world.target_position.tolist()
     return planar_within(rx - tx, ry - ty, cfg.target_radius)
 
@@ -237,12 +242,8 @@ class AttributeSpec:
     entity_index: int = 0
 
 
-def robot_state_dim(robot: str) -> int:
-    return POINT_STATE_DIM if robot == "point" else ARM_STATE_DIM
-
-
 def view_dim(kind: str, robot: str) -> int:
-    base = robot_state_dim(robot)
+    base = POINT_STATE_DIM if robot == "point" else ARM_STATE_DIM
     return base + {"reach": 2, "obstacle": 5, "door": 5, "speed": 1, "force": 2}[kind]
 
 
@@ -251,30 +252,33 @@ def robot_columns(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Column blocks that side by side hold each world's robot state
     vector, and each world's reference point, (E, 2): the point robot
-    itself or the arm's end effector."""
+    itself or the arm's end effector.  Point rows come from one flat run of
+    floats, several times cheaper than `np.array` over named tuples from a
+    few worlds up; at the one to six worlds of an arm tick it is not."""
     robots = [w.robot for w in worlds]
     if robot == "point":
-        state = np.array(robots, dtype=float)
+        state = _flat_rows(robots, POINT_STATE_DIM)
         return [state], state[:, :2]
     state = np.array([(r.base_x, r.base_speed, *r.angles, *r.rates) for r in robots])
     return [state], np.array([link_points(r, cfg)[-1] for r in robots])
 
 
+def _flat_rows(rows: list, width: int) -> np.ndarray:
+    """(len(rows), width) float array of rows that each hold `width` floats."""
+    return np.fromiter(chain.from_iterable(rows), float, len(rows) * width).reshape(-1, width)
+
+
 def _get_obstacle(world: WorldState, index: int) -> ObstacleParams:
-    if index >= len(world.obstacles):
-        raise TaskConfigError(
-            f"view needs obstacle {index}, world has {len(world.obstacles)}"
-        )
-    return world.obstacles[index]
+    try:
+        return world.obstacles[index]
+    except IndexError:
+        have = len(world.obstacles)
+        raise TaskConfigError(f"view needs obstacle {index}, world has {have}") from None
 
 
 def _require(worlds: Sequence[WorldState], entity: str, what: str) -> None:
     if any(getattr(w, entity) is None for w in worlds):
         raise TaskConfigError(f"view needs {what}, world has none")
-
-
-def _column(values) -> np.ndarray:
-    return np.array(values, dtype=float)[:, None]
 
 
 def make_attribute(
@@ -288,25 +292,26 @@ def make_attribute(
     if kind == "reach":
         def extract(worlds: Sequence[WorldState], columns=None) -> np.ndarray:
             state, ref = columns or robot_columns(worlds, robot, cfg)
-            target = np.array([w.target_position for w in worlds])
+            target = np.concatenate([w.target_position for w in worlds]).reshape(-1, 2)
             return np.concatenate([*state, target - ref], axis=1)
 
         def reward(world: WorldState, action: Sequence[float]) -> float:
-            return reaching_reward(world, cfg)
+            return 1.0 if target_reached(world, cfg) else 0.0
 
         return AttributeSpec(attr_id, kind, dim, extract, reward)
 
     if kind == "obstacle":
         def extract(worlds: Sequence[WorldState], columns=None) -> np.ndarray:
             # rows of (cx, cy, radius, vx, vy)
-            obs = np.array([_get_obstacle(w, entity_index) for w in worlds], dtype=float)
+            obs = _flat_rows([_get_obstacle(w, entity_index) for w in worlds], 5)
             state, ref = columns or robot_columns(worlds, robot, cfg)
             return np.concatenate(
                 [*state, obs[:, :2] - ref, obs[:, 3:], obs[:, 2:3]], axis=1
             )
 
         def reward(world: WorldState, action: Sequence[float]) -> float:
-            return obstacle_reward(world, cfg, _get_obstacle(world, entity_index))
+            obs = _get_obstacle(world, entity_index)
+            return OBSTACLE_PENALTY if robot_touches_disc(world, cfg, obs) else 0.0
 
         return AttributeSpec(attr_id, kind, dim, extract, reward, entity_index=entity_index)
 
@@ -315,7 +320,7 @@ def make_attribute(
             _require(worlds, "door", "a door")
             state, ref = columns or robot_columns(worlds, robot, cfg)
             seg = np.array([w.door.segment for w in worlds])
-            wait = _column([w.door.time_to_next_open(w.time) for w in worlds])
+            wait = np.array([[w.door.time_to_next_open(w.time)] for w in worlds])
             return np.concatenate([*state, seg[:, 0] - ref, seg[:, 1] - ref, wait], axis=1)
 
         def reward(world: WorldState, action: Sequence[float]) -> float:
@@ -329,7 +334,7 @@ def make_attribute(
         def extract(worlds: Sequence[WorldState], columns=None) -> np.ndarray:
             _require(worlds, "speed_profile", "a speed profile")
             state, _ = columns or robot_columns(worlds, robot, cfg)
-            lim = _column([w.speed_profile.limit(w.time) for w in worlds])
+            lim = np.array([[w.speed_profile.limit(w.time)] for w in worlds])
             return np.concatenate([*state, lim], axis=1)
 
         def reward(world: WorldState, action: Sequence[float]) -> float:
@@ -401,6 +406,22 @@ class Task:
     def limits(self) -> tuple[float, ...]:
         """Actuator limits as floats, computed once per task."""
         return tuple(action_limits(self.robot, self.cfg).tolist())
+
+    @cached_property
+    def effects(self) -> tuple[Callable, ...]:
+        """The dynamics effects of the specs, in cascade order."""
+        return tuple(s.dynamics_effect for s in self.specs if s.dynamics_effect is not None)
+
+    @cached_property
+    def penalty_events(self) -> tuple[tuple[int, str], ...]:
+        """(reward index, event name) of each add-on whose negative reward
+        is an event; a push has none."""
+        names = {"door": "touched_door", "speed": "speed_violation"}
+        return tuple(
+            (i, f"touched_obstacle_{s.entity_index}" if s.kind == "obstacle" else names[s.kind])
+            for i, s in enumerate(self.addons, 1)
+            if s.kind != "force"
+        )
 
 
 def build_task(robot: str, cfg: SimConfig, nominal: Nominal, addons: list[AddonSetup]) -> Task:
@@ -482,15 +503,14 @@ def _sample_world(task: Task, level: float, rng: np.random.Generator, mode: str)
     cfg = task.cfg
     nom = task.nominal
     w = cfg.workspace
+    ut = rng.uniform(size=2)
+    y_lo, y_hi = (-w, w) if task.robot == "point" else ARM_TARGET_Y
+    target = np.array([
+        _lerp_box(nom.target[0], -w, w, level, ut[0]),
+        _lerp_box(nom.target[1], y_lo, y_hi, level, ut[1]),
+    ])
 
     if task.robot == "point":
-        ut = rng.uniform(size=2)
-        target = np.array(
-            [
-                _lerp_box(nom.target[0], -w, w, level, ut[0]),
-                _lerp_box(nom.target[1], -w, w, level, ut[1]),
-            ]
-        )
         center = target if mode == "rcl" else nom.position
         ur = rng.uniform(size=2)
         px = _lerp_box(center[0], -w, w, level, ur[0])
@@ -498,13 +518,6 @@ def _sample_world(task: Task, level: float, rng: np.random.Generator, mode: str)
         vx, vy = (level * INIT_SPEED_RANGE * rng.uniform(-1.0, 1.0, size=2)).tolist()
         robot = PointRobotState(float(px), float(py), vx, vy)
     else:
-        ut = rng.uniform(size=2)
-        target = np.array(
-            [
-                _lerp_box(nom.target[0], -w, w, level, ut[0]),
-                _lerp_box(nom.target[1], ARM_TARGET_Y[0], ARM_TARGET_Y[1], level, ut[1]),
-            ]
-        )
         if mode == "rcl":
             # fold pose with the end effector exactly on the target:
             # joints (a, 0, -2a, 0) cancel horizontally and stand cos(a)
@@ -569,6 +582,28 @@ def reset(
 # ---------------------------------------------------------------------------
 # environment step
 
+class CheckedAction(list):
+    """An action row of floats that `checked_actions` found finite and clipped."""
+
+
+def checked_actions(task: Task, actions: np.ndarray) -> list[CheckedAction]:
+    """Each row of an (E, action_dim) action block, checked and clipped to
+    the actuator limits on floats (np.clip's bits for finite input).  A bad
+    row fails with the exception and message `step_task` gives for it."""
+    block = np.asarray(actions, dtype=np.float64)
+    if block.ndim != 2 or block.shape[1] != task.action_dim:
+        raise DimensionError(f"expected action ({task.action_dim},), got {block.shape[1:]}")
+    rows = block.tolist()
+    for j, row in enumerate(rows):
+        if not all(map(math.isfinite, row)):
+            raise SimulationFault(f"non-finite action {block[j]!r}")
+    limits = task.limits
+    return [
+        CheckedAction([-lim if a < -lim else lim if a > lim else a for a, lim in zip(row, limits)])
+        for row in rows
+    ]
+
+
 def step_task(
     task: Task, world: WorldState, action: np.ndarray
 ) -> tuple[WorldState, list[float], bool, list[str]]:
@@ -576,28 +611,15 @@ def step_task(
 
     Returns (next world, per-attribute rewards in cascade order, done, events).
     Rewards are evaluated on the post-step world, so "touching" refers to
-    the configuration the action produced.
+    the configuration the action produced.  A row from `checked_actions`
+    is used as it is; any other action is checked and clipped first.
     """
     cfg = task.cfg
-    action = np.asarray(action, dtype=np.float64)
-    if action.shape != (task.action_dim,):
-        raise DimensionError(
-            f"expected action ({task.action_dim},), got {action.shape}"
-        )
-    wanted = action.tolist()
-    if not all(map(math.isfinite, wanted)):
-        raise SimulationFault(f"non-finite action {action!r}")
-    # np.clip's bits for finite input
-    commanded = [
-        -lim if a < -lim else lim if a > lim else a
-        for a, lim in zip(wanted, task.limits)
-    ]
-
-    specs = task.specs
-    effective = commanded
-    for spec in specs:
-        if spec.dynamics_effect is not None:
-            effective = spec.dynamics_effect(world, effective)
+    if type(action) is not CheckedAction:
+        (action,) = checked_actions(task, np.asarray(action, dtype=np.float64)[None])
+    commanded = effective = action
+    for effect in task.effects:
+        effective = effect(world, effective)
 
     if task.robot == "point":
         robot = point_integrate(world.robot, effective, cfg)
@@ -615,18 +637,12 @@ def step_task(
         world.disturbance,
     )
 
-    rewards = [spec.reward(nxt, commanded) for spec in specs]
+    rewards = [spec.reward(nxt, commanded) for spec in task.specs]
 
-    events: list[str] = []
-    if rewards[0] == 1.0:
-        events.append("reached_target")
-    for spec, r in zip(task.addons, rewards[1:]):
-        if spec.kind == "obstacle" and r < 0.0:
-            events.append(f"touched_obstacle_{spec.entity_index}")
-        elif spec.kind == "door" and r < 0.0:
-            events.append("touched_door")
-        elif spec.kind == "speed" and r < 0.0:
-            events.append("speed_violation")
+    events = ["reached_target"] if rewards[0] == 1.0 else []
+    for i, event in task.penalty_events:
+        if rewards[i] < 0.0:
+            events.append(event)
 
     done = rewards[0] == 1.0 or nxt.step_index >= cfg.horizon
     return nxt, rewards, done, events
@@ -658,12 +674,12 @@ def run_episodes(
     `admit(n_live)` holds (with no `admit`, all of them at once); `rngs`
     is read lazily, one rng per admitted episode.  Each tick calls
     `act(worlds, rngs) -> (actions, records)` once on the live worlds, in
-    episode order, then steps them in that order, each through one
-    `step_task` call; row j of `actions` and of `records` belongs to the
-    j-th live world, and each step carries the tick's `records` and its
-    row.  Episode k draws all its randomness, reset and actor alike, from
-    the k-th rng, so its steps do not depend on which episodes run beside
-    it.
+    episode order, checks the action block once (`checked_actions`), then
+    steps the worlds in that order, each through one `step_task` call;
+    row j of `actions` and of `records` belongs to the j-th live world,
+    and each step carries the tick's `records` and its row.  Episode k
+    draws all its randomness, reset and actor alike, from the k-th rng, so
+    its steps do not depend on which episodes run beside it.
     """
     pending = iter(rngs)
     # slot k holds episode k's rng and world, None once it is done
@@ -681,9 +697,12 @@ def run_episodes(
         if not live:
             return
         actions, records = act([worlds[k] for k in live], [streams[k] for k in live])
+        rows = checked_actions(task, actions)
+        if len(rows) != len(live):
+            raise DimensionError(f"expected {len(live)} action rows, got {len(rows)}")
         still = []
         for j, k in enumerate(live):
-            nxt, rewards, done, events = step_task(task, worlds[k], actions[j])
+            nxt, rewards, done, events = step_task(task, worlds[k], rows[j])
             yield EpisodeStep(k, worlds[k], actions[j], records, j, nxt, rewards, done, events)
             if done:
                 streams[k] = worlds[k] = None

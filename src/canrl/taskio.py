@@ -25,12 +25,15 @@ _SIM_KEYS = {
     "robot_radius", "link_radius",
 }
 
+_NOMINAL_KEYS = {"point": {"target", "position"}, "arm": {"target", "base_x", "joint_angles"}}
+
 _ADDON_REQUIRED = {
     "obstacle": {"center", "radius", "speed", "heading"},
     "door": {"x", "y_lo", "y_hi", "period", "open_fraction"},
     "speed": {"times", "limits"},
     "force": {"magnitude", "heading"},
 }
+_ADDON_OPTIONAL = {"speed": {"coeff"}}
 
 # checked at parse time so a bad file fails here and not mid-episode: the
 # add-on parameters that are lists of finite numbers (every other one is a
@@ -101,6 +104,11 @@ def _finite(v) -> bool:
         return False
 
 
+def _count(v) -> bool:
+    """An integer >= 1 that is not a bool."""
+    return not isinstance(v, bool) and isinstance(v, int) and v >= 1
+
+
 def _finite_list(v) -> bool:
     return isinstance(v, (list, tuple)) and all(map(_finite, v))
 
@@ -118,9 +126,8 @@ def _parse_sim(robot: str, spec: dict) -> SimConfig:
             raise TaskConfigError("sim.link_lengths must be a list")
         spec = dict(spec, link_lengths=tuple(spec["link_lengths"]))
     cfg = (point_sim_config if robot == "point" else arm_sim_config)(**spec)
-    h = cfg.horizon
-    if isinstance(h, bool) or not isinstance(h, int) or h < 1:
-        raise TaskConfigError(f"sim.horizon must be an integer >= 1, got {h!r}")
+    if not _count(cfg.horizon):
+        raise TaskConfigError(f"sim.horizon must be an integer >= 1, got {cfg.horizon!r}")
     for key in _POSITIVE_SIM_KEYS:
         if not _positive(getattr(cfg, key)):
             raise TaskConfigError(
@@ -145,6 +152,9 @@ def _coords(spec: dict, key: str, n: int, default=None) -> np.ndarray:
 
 
 def _parse_nominal(robot: str, spec: dict) -> Nominal:
+    unknown = set(spec) - _NOMINAL_KEYS[robot]
+    if unknown:
+        raise TaskConfigError(f"unknown nominal keys for the {robot} robot: {sorted(unknown)}")
     target = _coords(spec, "target", 2)
     if robot == "point":
         return Nominal(target=target, position=_coords(spec, "position", 2))
@@ -166,6 +176,9 @@ def _parse_addons(spec: list) -> list[AddonSetup]:
         params = item.get("params", {})
         if not isinstance(params, dict):
             raise TaskConfigError(f"addon {i} ({kind}): params must be a JSON object")
+        unknown = set(params) - _ADDON_REQUIRED[kind] - _ADDON_OPTIONAL.get(kind, set())
+        if unknown:
+            raise TaskConfigError(f"addon {i} ({kind}): unknown params {sorted(unknown)}")
         for key, v in params.items():
             if not (_finite_list if key in _ADDON_LISTS else _finite)(v):
                 raise TaskConfigError(f"addon {i} ({kind}): {key} must be finite, got {v!r}")
@@ -183,7 +196,18 @@ def _parse_addons(spec: list) -> list[AddonSetup]:
     return out
 
 
+# what each curriculum value must be ("lambda" is the file's name for growth)
+_CURRICULUM_RULES = {
+    **dict.fromkeys(("queue_capacity", "min_entries"), (_count, "an integer >= 1")),
+    **dict.fromkeys(("initial_level", "growth", "lambda", "threshold", "terminal_level"),
+                    (_finite, "a finite number")),
+}
+
+
 def _parse_curriculum(spec: dict) -> CurriculumConfig:
+    for key, (holds, what) in _CURRICULUM_RULES.items():
+        if key in spec and not holds(spec[key]):
+            raise TaskConfigError(f"curriculum.{key} must be {what}, got {spec[key]!r}")
     kw = dict(spec)
     if "lambda" in kw:
         kw["growth"] = kw.pop("lambda")

@@ -40,7 +40,7 @@ from canrl.dynamics import (
     arm_jacobian,
     end_effector,
 )
-from canrl.errors import DimensionError, InfeasibleTaskError, TaskConfigError
+from canrl.errors import DimensionError, InfeasibleTaskError, SimulationFault, TaskConfigError
 from canrl.taskio import (
     STOCK_TASK_NAMES,
     TASKS_DIR,
@@ -399,6 +399,21 @@ class TestStepTask:
         with pytest.raises(DimensionError):
             step_task(loaded.task, w, np.zeros(5))
 
+    @pytest.mark.parametrize("action, error, message", [
+        (np.zeros(5), DimensionError, "expected action (2,), got (5,)"),
+        (np.zeros((1, 2)), DimensionError, "expected action (2,), got (1, 2)"),
+        (np.float64(0.5), DimensionError, "expected action (2,), got ()"),
+        (np.array([np.nan, 0.0]), SimulationFault, "non-finite action array([nan,  0.])"),
+        (np.array([0.5, -np.inf]), SimulationFault, "non-finite action array([ 0.5, -inf])"),
+        ([np.inf, 0.0], SimulationFault, "non-finite action array([inf,  0.])"),
+    ], ids=["wide", "two_d", "scalar", "nan", "minus_inf", "list_inf"])
+    def test_bad_action_messages(self, action, error, message):
+        task = load_stock_task("point_reach").task
+        w = reset(task, 0.0, np.random.default_rng(0))
+        with pytest.raises(error) as got:
+            step_task(task, w, action)
+        assert str(got.value) == message
+
     def test_disturbance_bends_trajectory(self):
         loaded = load_stock_task("point_force")
         w = reset(loaded.task, 0.0, np.random.default_rng(0))
@@ -530,6 +545,43 @@ class TestRunEpisodes:
         assert len(set(lengths)) > 1  # episodes end on different ticks
         for k in range(self.N):
             assert self.trajectory(steps, k) == self.alone(k)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "wide", "flat"])
+    def test_bad_action_block_fails_as_step_task_does(self, bad):
+        # the tick's block is checked once; a bad row fails with the
+        # exception and message step_task gives for that row alone
+        ticks = []
+
+        def act(worlds, rngs):
+            actions, records = noisy_servo(worlds, rngs)
+            if len(ticks) == 3:
+                if bad == "nan":
+                    actions[2, 1] = np.nan
+                elif bad == "inf":
+                    actions[2, 0] = -np.inf
+                elif bad == "wide":
+                    actions = np.zeros((len(worlds), 3))
+                else:
+                    actions = actions[:, 0]
+            ticks.append((worlds, actions))
+            return actions, records
+
+        with pytest.raises((DimensionError, SimulationFault)) as got:
+            for _ in run_episodes(self.TASK, act, 0.7, self.rngs()):
+                pass
+        assert len(ticks) == 4
+        worlds, actions = ticks[-1]
+        with pytest.raises(got.type) as want:
+            step_task(self.TASK, worlds[2], actions[2])
+        assert str(got.value) == str(want.value)
+
+    def test_action_rows_must_match_the_live_worlds(self):
+        def act(worlds, rngs):
+            actions, records = noisy_servo(worlds, rngs)
+            return actions[1:], records
+
+        with pytest.raises(DimensionError, match="expected 4 action rows, got 3"):
+            next(run_episodes(self.TASK, act, 0.7, self.rngs()))
 
     def test_every_step_calls_the_module_step_task(self, monkeypatch):
         # the benchmark counts env steps by wrapping `attributes.step_task`

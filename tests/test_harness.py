@@ -629,10 +629,21 @@ class TestCli:
         ("point_obstacle", lambda d: d["addons"][0]["params"].update(center=[0.0]),
          "planar center"),
         ("point_obstacle", lambda d: d.update(addon=d.pop("addons")), "unknown task keys"),
+        ("point_reach", lambda d: d["nominal"].update(postion=[0.0, 0.0]),
+         "unknown nominal keys for the point robot: ['postion']"),
+        ("point_reach", lambda d: d["nominal"].update(base_x=0.0),
+         "unknown nominal keys for the point robot: ['base_x']"),
+        ("arm_reach", lambda d: d["nominal"].update(basex=0.1),
+         "unknown nominal keys for the arm robot: ['basex']"),
+        ("point_speed", lambda d: d["addons"][0]["params"].update(coef=5.0),
+         "unknown params ['coef']"),
+        ("point_obstacle", lambda d: d["addons"][0]["params"].update(coeff=5.0),
+         "unknown params ['coeff']"),
     ], ids=["target_string", "target_nan", "position_inf", "arm_base_x_string",
             "arm_joint_angle_string", "nominal_list", "curriculum_list", "sim_list",
             "params_list", "force_magnitude_string", "obstacle_center_short",
-            "misspelled_addons"])
+            "misspelled_addons", "nominal_postion", "point_nominal_base_x",
+            "arm_nominal_basex", "speed_params_coef", "obstacle_params_coeff"])
     def test_eval_bad_task_exits_2(self, tmp_path, capsys, task, edit, message):
         d = load_stock_task(task).raw
         edit(d)
@@ -649,6 +660,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("queue_capacity", "abc", "an integer >= 1"),
+        ("min_entries", "x", "an integer >= 1"),
+        ("queue_capacity", True, "an integer >= 1"),
+        ("min_entries", 0, "an integer >= 1"),
+        ("threshold", float("nan"), "a finite number"),
+        ("terminal_level", float("inf"), "a finite number"),
+        ("lambda", "1.2", "a finite number"),
+    ], ids=["queue_capacity_string", "min_entries_string", "queue_capacity_bool",
+            "min_entries_zero", "threshold_nan", "terminal_level_inf", "lambda_string"])
+    def test_train_base_bad_curriculum_exits_2(self, tmp_path, capsys, key, value, message):
+        d = load_stock_task("point_reach").raw
+        d["curriculum"][key] = value
+        (tmp_path / "task.json").write_text(json.dumps(d))
+        out = tmp_path / "out.json"
+        rc = cli.main(["train-base", "--task", str(tmp_path / "task.json"), "--out", str(out),
+                       "--budget", "1", "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"curriculum.{key} must be {message}" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"robot": "point",', None],
                              ids=["not_utf8", "not_json", "directory"])

@@ -22,6 +22,7 @@ from canrl.attributes import (
     ObstacleParams,
     _get_obstacle,
     advance_obstacle,
+    checked_actions,
     full_view,
     make_attribute,
     obstacle_clearance,
@@ -53,7 +54,7 @@ from canrl.dynamics import (
     segments_within,
     wrap_angle,
 )
-from canrl.errors import SimulationFault
+from canrl.errors import SimulationFault, TaskConfigError
 from canrl.taskio import load_stock_task
 
 # ---------------------------------------------------------------------------
@@ -737,26 +738,42 @@ class TestViews:
             assert got.shape == (n, spec.state_dim)
             assert got.tobytes() == want.tobytes()
 
+    # batch sizes for the gathers: one world, a few, and more than an arm
+    # tick ever holds
+    BATCHES = (1, 5, 64)
+
     @pytest.mark.parametrize("robot", ["point", "arm"])
     @pytest.mark.parametrize("kind", ["reach", "obstacle", "door", "speed", "force"])
     def test_each_kind_is_one_row_per_world(self, robot, kind):
         spec = make_attribute(kind, 1, robot, SimConfig())
         task = TASKS[f"{robot}_{kind}"]
-        _, worlds = task_worlds(f"{robot}_{kind}", range(4), 1.0)
         assert task.specs[-1].kind == kind
-        rows = spec.extract(worlds)
-        for i, w in enumerate(worlds):
-            assert rows[i].tobytes() == spec.extract([w])[0].tobytes()
+        for n in self.BATCHES:
+            _, worlds = task_worlds(f"{robot}_{kind}", range(n), 1.0)
+            rows = spec.extract(worlds)
+            assert rows.shape == (n, spec.state_dim)
+            for i, w in enumerate(worlds):
+                assert rows[i].tobytes() == spec.extract([w])[0].tobytes()
 
     @pytest.mark.parametrize("name", POINT_TASKS + ARM_TASKS)
     def test_shared_columns_match_each_views_own(self, name):
-        task, worlds = task_worlds(name, range(5), 1.0)
-        columns = robot_columns(worlds, task.robot, task.cfg)
-        for spec in task.specs:
-            assert spec.extract(worlds, columns).tobytes() == spec.extract(worlds).tobytes()
-        want = np.concatenate([spec.extract(worlds) for spec in task.specs], axis=1)
-        assert full_view(task, worlds).tobytes() == want.tobytes()
+        for n in self.BATCHES:
+            task, worlds = task_worlds(name, range(n), 1.0)
+            columns = robot_columns(worlds, task.robot, task.cfg)
+            for spec in task.specs:
+                assert spec.extract(worlds, columns).tobytes() == spec.extract(worlds).tobytes()
+            want = np.concatenate([spec.extract(worlds) for spec in task.specs], axis=1)
+            assert full_view(task, worlds).tobytes() == want.tobytes()
         assert task.specs is task.specs
+
+    @pytest.mark.parametrize("robot", ["point", "arm"])
+    def test_world_missing_its_obstacle_fails_the_batched_view(self, robot):
+        spec = make_attribute("obstacle", 2, robot, SimConfig(), entity_index=1)
+        _, worlds = task_worlds(f"{robot}_obstacle", range(3), 1.0)  # one obstacle each
+        with pytest.raises(TaskConfigError, match="view needs obstacle 1, world has 1"):
+            spec.extract(worlds)
+        with pytest.raises(TaskConfigError, match="view needs obstacle 1, world has 1"):
+            spec.reward(worlds[0], [0.0] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -779,13 +796,19 @@ class TestStepTask:
         task = TASKS[name]
         world = reset(task, level, np.random.default_rng(seed))
         twin = world
+        checked = world
+        limits = action_limits(task.robot, task.cfg)
         for _ in range(40):
             action = data.draw(action_for(task.action_dim))
+            # the row run_episodes hands step_task: floats with np.clip's bits
+            (row,) = checked_actions(task, action[None])
+            assert bits(row) == bits(np.clip(action, -limits, limits))
             world, rewards, done, events = step_task(task, world, action)
+            checked, checked_r, checked_done, checked_events = step_task(task, checked, row)
             twin, want_r, want_done, want_events = ref_step(task, twin, action)
-            assert same_world(world, twin)
-            assert bits(rewards) == bits(want_r)
-            assert (done, events) == (want_done, want_events)
+            assert same_world(world, twin) and same_world(checked, twin)
+            assert bits(rewards) == bits(want_r) == bits(checked_r)
+            assert (done, events) == (want_done, want_events) == (checked_done, checked_events)
             if done:
                 break
 
