@@ -33,6 +33,7 @@ from .dynamics import (
     planar_within,
     point_integrate,
     point_segment_distance,
+    reference_point,
     robot_speed,
     segment_within,
     segments_within,
@@ -145,8 +146,7 @@ def advance_obstacle(obs: ObstacleParams, dt: float, half: float) -> ObstaclePar
         cy, vy = lo + (lo - cy), -vy
     elif cy > hi:
         cy, vy = hi - (cy - hi), -vy
-    # ObstacleParams(...) without the named tuple's Python-level __new__
-    return tuple.__new__(ObstacleParams, (cx, cy, radius, vx, vy))
+    return ObstacleParams(cx, cy, radius, vx, vy)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +188,7 @@ def obstacle_clearance(world: WorldState, cfg: SimConfig, obs: ObstacleParams) -
 
 
 def target_reached(world: WorldState, cfg: SimConfig) -> bool:
-    """Whether the reference point (the point robot itself, or the arm's
-    end effector) is within the target radius."""
-    robot = world.robot
-    rx, ry = (robot.x, robot.y) if robot.robot_kind == "point" else link_points(robot, cfg)[-1]
+    rx, ry = reference_point(world, cfg)
     tx, ty = world.target_position.tolist()
     return planar_within(rx - tx, ry - ty, cfg.target_radius)
 
@@ -242,8 +239,12 @@ class AttributeSpec:
     entity_index: int = 0
 
 
+def robot_state_dim(robot: str) -> int:
+    return POINT_STATE_DIM if robot == "point" else ARM_STATE_DIM
+
+
 def view_dim(kind: str, robot: str) -> int:
-    base = POINT_STATE_DIM if robot == "point" else ARM_STATE_DIM
+    base = robot_state_dim(robot)
     return base + {"reach": 2, "obstacle": 5, "door": 5, "speed": 1, "force": 2}[kind]
 
 
@@ -252,33 +253,37 @@ def robot_columns(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Column blocks that side by side hold each world's robot state
     vector, and each world's reference point, (E, 2): the point robot
-    itself or the arm's end effector.  Point rows come from one flat run of
-    floats, several times cheaper than `np.array` over named tuples from a
-    few worlds up; at the one to six worlds of an arm tick it is not."""
+    itself or the arm's end effector."""
     robots = [w.robot for w in worlds]
     if robot == "point":
         state = _flat_rows(robots, POINT_STATE_DIM)
         return [state], state[:, :2]
-    state = np.array([(r.base_x, r.base_speed, *r.angles, *r.rates) for r in robots])
-    return [state], np.array([link_points(r, cfg)[-1] for r in robots])
+    rows = [(r.base_x, r.base_speed, *r.angles, *r.rates) for r in robots]
+    return [_flat_rows(rows, ARM_STATE_DIM)], _flat_rows([link_points(r, cfg)[-1] for r in robots], 2)
 
 
 def _flat_rows(rows: list, width: int) -> np.ndarray:
-    """(len(rows), width) float array of rows that each hold `width` floats."""
+    """(len(rows), width) float array of rows that each hold `width` floats,
+    read from one flat run of them (no arithmetic, so the bits are the
+    rows' own)."""
     return np.fromiter(chain.from_iterable(rows), float, len(rows) * width).reshape(-1, width)
 
 
 def _get_obstacle(world: WorldState, index: int) -> ObstacleParams:
-    try:
-        return world.obstacles[index]
-    except IndexError:
-        have = len(world.obstacles)
-        raise TaskConfigError(f"view needs obstacle {index}, world has {have}") from None
+    if index >= len(world.obstacles):
+        raise TaskConfigError(
+            f"view needs obstacle {index}, world has {len(world.obstacles)}"
+        )
+    return world.obstacles[index]
 
 
 def _require(worlds: Sequence[WorldState], entity: str, what: str) -> None:
     if any(getattr(w, entity) is None for w in worlds):
         raise TaskConfigError(f"view needs {what}, world has none")
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=float)[:, None]
 
 
 def make_attribute(
@@ -296,7 +301,7 @@ def make_attribute(
             return np.concatenate([*state, target - ref], axis=1)
 
         def reward(world: WorldState, action: Sequence[float]) -> float:
-            return 1.0 if target_reached(world, cfg) else 0.0
+            return reaching_reward(world, cfg)
 
         return AttributeSpec(attr_id, kind, dim, extract, reward)
 
@@ -310,8 +315,7 @@ def make_attribute(
             )
 
         def reward(world: WorldState, action: Sequence[float]) -> float:
-            obs = _get_obstacle(world, entity_index)
-            return OBSTACLE_PENALTY if robot_touches_disc(world, cfg, obs) else 0.0
+            return obstacle_reward(world, cfg, _get_obstacle(world, entity_index))
 
         return AttributeSpec(attr_id, kind, dim, extract, reward, entity_index=entity_index)
 
@@ -320,7 +324,7 @@ def make_attribute(
             _require(worlds, "door", "a door")
             state, ref = columns or robot_columns(worlds, robot, cfg)
             seg = np.array([w.door.segment for w in worlds])
-            wait = np.array([[w.door.time_to_next_open(w.time)] for w in worlds])
+            wait = _column([w.door.time_to_next_open(w.time) for w in worlds])
             return np.concatenate([*state, seg[:, 0] - ref, seg[:, 1] - ref, wait], axis=1)
 
         def reward(world: WorldState, action: Sequence[float]) -> float:
@@ -334,7 +338,7 @@ def make_attribute(
         def extract(worlds: Sequence[WorldState], columns=None) -> np.ndarray:
             _require(worlds, "speed_profile", "a speed profile")
             state, _ = columns or robot_columns(worlds, robot, cfg)
-            lim = np.array([[w.speed_profile.limit(w.time)] for w in worlds])
+            lim = _column([w.speed_profile.limit(w.time) for w in worlds])
             return np.concatenate([*state, lim], axis=1)
 
         def reward(world: WorldState, action: Sequence[float]) -> float:
@@ -503,14 +507,15 @@ def _sample_world(task: Task, level: float, rng: np.random.Generator, mode: str)
     cfg = task.cfg
     nom = task.nominal
     w = cfg.workspace
-    ut = rng.uniform(size=2)
-    y_lo, y_hi = (-w, w) if task.robot == "point" else ARM_TARGET_Y
-    target = np.array([
-        _lerp_box(nom.target[0], -w, w, level, ut[0]),
-        _lerp_box(nom.target[1], y_lo, y_hi, level, ut[1]),
-    ])
 
     if task.robot == "point":
+        ut = rng.uniform(size=2)
+        target = np.array(
+            [
+                _lerp_box(nom.target[0], -w, w, level, ut[0]),
+                _lerp_box(nom.target[1], -w, w, level, ut[1]),
+            ]
+        )
         center = target if mode == "rcl" else nom.position
         ur = rng.uniform(size=2)
         px = _lerp_box(center[0], -w, w, level, ur[0])
@@ -518,6 +523,13 @@ def _sample_world(task: Task, level: float, rng: np.random.Generator, mode: str)
         vx, vy = (level * INIT_SPEED_RANGE * rng.uniform(-1.0, 1.0, size=2)).tolist()
         robot = PointRobotState(float(px), float(py), vx, vy)
     else:
+        ut = rng.uniform(size=2)
+        target = np.array(
+            [
+                _lerp_box(nom.target[0], -w, w, level, ut[0]),
+                _lerp_box(nom.target[1], ARM_TARGET_Y[0], ARM_TARGET_Y[1], level, ut[1]),
+            ]
+        )
         if mode == "rcl":
             # fold pose with the end effector exactly on the target:
             # joints (a, 0, -2a, 0) cancel horizontally and stand cos(a)

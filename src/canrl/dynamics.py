@@ -205,8 +205,7 @@ def point_integrate(
     py, vy = _clamp_to_wall(py + vy * dt, vy, cfg.workspace)
     if not all(map(math.isfinite, (px, py, vx, vy))):
         raise SimulationFault("point state diverged")
-    # PointRobotState(...) without the named tuple's Python-level __new__
-    return tuple.__new__(PointRobotState, (px, py, vx, vy))
+    return PointRobotState(px, py, vx, vy)
 
 
 def arm_integrate(
@@ -272,6 +271,15 @@ def arm_jacobian(state: ArticulatedRobotState, cfg: SimConfig) -> np.ndarray:
         jac[0, j + 1] = np.sum(lengths[j:] * np.cos(cum[j:]))
         jac[1, j + 1] = -np.sum(lengths[j:] * np.sin(cum[j:]))
     return jac
+
+
+def reference_point(world: WorldState, cfg: SimConfig) -> tuple[float, float]:
+    """The body point that attributes reason about: the point robot itself,
+    or the arm's end effector."""
+    robot = world.robot
+    if robot.robot_kind == "point":
+        return robot.x, robot.y
+    return end_effector(robot, cfg)
 
 
 def robot_speed(world: WorldState) -> float:
