@@ -407,9 +407,11 @@ class Task:
         return action_dim(self.robot)
 
     @cached_property
-    def limits(self) -> tuple[float, ...]:
-        """Actuator limits as floats, computed once per task."""
-        return tuple(action_limits(self.robot, self.cfg).tolist())
+    def limits(self) -> np.ndarray:
+        """Actuator limits, computed once per task and never written."""
+        lim = action_limits(self.robot, self.cfg)
+        lim.flags.writeable = False
+        return lim
 
     @cached_property
     def effects(self) -> tuple[Callable, ...]:
@@ -600,20 +602,18 @@ class CheckedAction(list):
 
 def checked_actions(task: Task, actions: np.ndarray) -> list[CheckedAction]:
     """Each row of an (E, action_dim) action block, checked and clipped to
-    the actuator limits on floats (np.clip's bits for finite input).  A bad
-    row fails with the exception and message `step_task` gives for it."""
+    the actuator limits, as floats.  A bad row fails with the exception and
+    message `step_task` gives for it.  The checks run on the whole block:
+    a few µs dearer than per-row floats on a one-world tick, several times
+    cheaper on the hundreds of worlds of an eval tick."""
     block = np.asarray(actions, dtype=np.float64)
     if block.ndim != 2 or block.shape[1] != task.action_dim:
         raise DimensionError(f"expected action ({task.action_dim},), got {block.shape[1:]}")
-    rows = block.tolist()
-    for j, row in enumerate(rows):
-        if not all(map(math.isfinite, row)):
-            raise SimulationFault(f"non-finite action {block[j]!r}")
-    limits = task.limits
-    return [
-        CheckedAction([-lim if a < -lim else lim if a > lim else a for a, lim in zip(row, limits)])
-        for row in rows
-    ]
+    if not np.isfinite(block).all():
+        bad = block[~np.isfinite(block).all(axis=1)][0]
+        raise SimulationFault(f"non-finite action {bad!r}")
+    lim = task.limits
+    return list(map(CheckedAction, np.clip(block, -lim, lim).tolist()))
 
 
 def step_task(
