@@ -239,12 +239,8 @@ class AttributeSpec:
     entity_index: int = 0
 
 
-def robot_state_dim(robot: str) -> int:
-    return POINT_STATE_DIM if robot == "point" else ARM_STATE_DIM
-
-
 def view_dim(kind: str, robot: str) -> int:
-    base = robot_state_dim(robot)
+    base = POINT_STATE_DIM if robot == "point" else ARM_STATE_DIM
     return base + {"reach": 2, "obstacle": 5, "door": 5, "speed": 1, "force": 2}[kind]
 
 
@@ -280,10 +276,6 @@ def _get_obstacle(world: WorldState, index: int) -> ObstacleParams:
 def _require(worlds: Sequence[WorldState], entity: str, what: str) -> None:
     if any(getattr(w, entity) is None for w in worlds):
         raise TaskConfigError(f"view needs {what}, world has none")
-
-
-def _column(values) -> np.ndarray:
-    return np.array(values, dtype=float)[:, None]
 
 
 def make_attribute(
@@ -324,7 +316,7 @@ def make_attribute(
             _require(worlds, "door", "a door")
             state, ref = columns or robot_columns(worlds, robot, cfg)
             seg = np.array([w.door.segment for w in worlds])
-            wait = _column([w.door.time_to_next_open(w.time) for w in worlds])
+            wait = np.array([w.door.time_to_next_open(w.time) for w in worlds], dtype=float)[:, None]
             return np.concatenate([*state, seg[:, 0] - ref, seg[:, 1] - ref, wait], axis=1)
 
         def reward(world: WorldState, action: Sequence[float]) -> float:
@@ -338,7 +330,7 @@ def make_attribute(
         def extract(worlds: Sequence[WorldState], columns=None) -> np.ndarray:
             _require(worlds, "speed_profile", "a speed profile")
             state, _ = columns or robot_columns(worlds, robot, cfg)
-            lim = _column([w.speed_profile.limit(w.time) for w in worlds])
+            lim = np.array([w.speed_profile.limit(w.time) for w in worlds], dtype=float)[:, None]
             return np.concatenate([*state, lim], axis=1)
 
         def reward(world: WorldState, action: Sequence[float]) -> float:
@@ -510,14 +502,12 @@ def _sample_world(task: Task, level: float, rng: np.random.Generator, mode: str)
     nom = task.nominal
     w = cfg.workspace
 
+    ut = rng.uniform(size=2)
+    y_lo, y_hi = (-w, w) if task.robot == "point" else ARM_TARGET_Y
+    target = np.array(
+        [_lerp_box(nom.target[0], -w, w, level, ut[0]), _lerp_box(nom.target[1], y_lo, y_hi, level, ut[1])]
+    )
     if task.robot == "point":
-        ut = rng.uniform(size=2)
-        target = np.array(
-            [
-                _lerp_box(nom.target[0], -w, w, level, ut[0]),
-                _lerp_box(nom.target[1], -w, w, level, ut[1]),
-            ]
-        )
         center = target if mode == "rcl" else nom.position
         ur = rng.uniform(size=2)
         px = _lerp_box(center[0], -w, w, level, ur[0])
@@ -525,13 +515,6 @@ def _sample_world(task: Task, level: float, rng: np.random.Generator, mode: str)
         vx, vy = (level * INIT_SPEED_RANGE * rng.uniform(-1.0, 1.0, size=2)).tolist()
         robot = PointRobotState(float(px), float(py), vx, vy)
     else:
-        ut = rng.uniform(size=2)
-        target = np.array(
-            [
-                _lerp_box(nom.target[0], -w, w, level, ut[0]),
-                _lerp_box(nom.target[1], ARM_TARGET_Y[0], ARM_TARGET_Y[1], level, ut[1]),
-            ]
-        )
         if mode == "rcl":
             # fold pose with the end effector exactly on the target:
             # joints (a, 0, -2a, 0) cancel horizontally and stand cos(a)

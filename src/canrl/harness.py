@@ -28,7 +28,6 @@ from .cascade import (
     cascade_act,
     make_cascade,
 )
-from .curriculum import CurriculumConfig
 from .errors import TaskConfigError
 from .ppo import (
     EVAL_STREAM,
@@ -440,10 +439,6 @@ def run_train_attribute(
 COMPARE_ARMS = ("can", "scratch_cl", "scratch_rcl")
 
 
-def _arm_curriculum(cur: CurriculumConfig, mode: str) -> CurriculumConfig:
-    return dataclasses.replace(cur, mode=mode)
-
-
 def run_compare(
     loaded: LoadedTask,
     base_path: str | Path,
@@ -466,22 +461,13 @@ def run_compare(
     for arm in COMPARE_ARMS:
         if emit is not None:
             emit(f"--- arm {arm}")
+        cur = dataclasses.replace(loaded.curriculum, mode="rcl" if arm == "scratch_rcl" else "cl")
+        kw = dict(seed=run.seed, max_iterations=run.max_iterations, progress=_progress_printer(arm, emit))
         try:
             if arm == "can":
-                result = train_attribute(
-                    base, loaded.task, PPOConfig(),
-                    _arm_curriculum(loaded.curriculum, "cl"),
-                    seed=run.seed, max_iterations=run.max_iterations,
-                                progress=_progress_printer(arm, emit),
-                )
+                result = train_attribute(base, loaded.task, PPOConfig(), cur, **kw)
             else:
-                mode = "cl" if arm == "scratch_cl" else "rcl"
-                result = train_flat(
-                    loaded.task, PPOConfig(),
-                    _arm_curriculum(loaded.curriculum, mode),
-                    seed=run.seed, max_iterations=run.max_iterations,
-                                progress=_progress_printer(arm, emit),
-                )
+                result = train_flat(loaded.task, PPOConfig(), cur, **kw)
         except Exception as exc:  # noqa: BLE001 - a diverging arm is a result
             summary["arms"][arm] = {"error": f"{type(exc).__name__}: {exc}"}
             continue
