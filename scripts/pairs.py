@@ -8,8 +8,11 @@ in odd ones, so a slow drift in host load falls on both sides alike.  For
 every end-to-end metric the script
 prints each side's median and quartiles (numpy's linear percentiles), how
 many pairs the change won in the metric's better direction, and whether
-the gap between the medians exceeds the parent's quartile distance.  It
-also says whether the outputs' sha256 digests agreed in every pair.
+the gap between the medians exceeds the parent's quartile distance.  For
+`wall_s` it also prints, per side, the median over runs of each run's
+fastest round (from the `rounds` of its `_record.json`), which host load
+inside a run moves less than the median round.  It also says whether the
+outputs' sha256 digests agreed in every pair.
 Nothing under `benchmark/` is changed; the run records stay in each
 checkout's `.bench_out/`.
 """
@@ -39,6 +42,7 @@ def run_once(repo: Path, workload: str, seed: int) -> dict:
         "correct": result["correct"],
         "failed": result["failed"],
         "values": {k: m["value"] for k, m in result["metrics"].items()},
+        "round_min_wall_s": min(r["wall_s"] for r in record["rounds"] if r["code"] == 0),
         "digests": record["output_sha256"],
     }
 
@@ -62,6 +66,15 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
             f"  gap {'exceeds' if gap > p3 - p1 else 'within'} parent quartile distance"
             f" ({gap:.4g} vs {p3 - p1:.4g})"
         )
+        if name == "wall_s":
+            p = [r["round_min_wall_s"] for r in parent]
+            c = [r["round_min_wall_s"] for r in change]
+            pm, cm = statistics.median(p), statistics.median(c)
+            wins = sum(b < a for a, b in zip(p, c))
+            lines.append(
+                f"wall_s round minimum (median over runs): parent {pm:.4g}  change {cm:.4g}"
+                f"  {100.0 * (cm - pm) / pm:+.1f}%  change better in {wins}/{len(p)}"
+            )
     return lines
 
 

@@ -2,9 +2,9 @@
 Gaussian policy head, and the Adam optimizer.
 
 Everything runs in float64 so finite-difference gradient checks are
-meaningful.  Forward passes never mutate the network.  A trained actor's
+meaningful.  Forward passes never mutate the network.  Each trained net's
 parameters live in one flat buffer (`pack_parameters`) whose reshaped views
-are the nets' weights, biases and `log_std`; `backward_cached` and the loss
+are its weights, biases and `log_std`; `backward_cached` and the loss
 write into views of a matching gradient buffer, and `adam_step` checks that
 buffer once, then updates the whole parameter buffer with in-place ufuncs.
 """
@@ -231,23 +231,22 @@ class GaussianPolicy:
         return cls(net, log_std)
 
 
-def pack_parameters(
-    policy: GaussianPolicy, value_net: DenseNet
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Copy [*policy.parameters(), *value_net.parameters()] into one float64
-    buffer and rebind the nets' weights, biases and `log_std` to reshaped
-    views of it.  Returns (params, grads, grad_views): the buffer, a zeroed
-    gradient buffer of its size, and views of that shaped like the parameters."""
-    arrays = [*policy.parameters(), *value_net.parameters()]
+def pack_parameters(net: GaussianPolicy | DenseNet) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Copy `net.parameters()` into one float64 buffer and rebind the net's
+    weights, biases and (for a policy) `log_std` to reshaped views of it.
+    Returns (params, grads, grad_views): the buffer, a zeroed gradient
+    buffer of its size, and views of that shaped like the parameters."""
+    arrays = net.parameters()
     params = np.concatenate([a.ravel() for a in arrays])
     grads = np.zeros_like(params)
     ends = np.cumsum([a.size for a in arrays]).tolist()
     spans = [(e - a.size, e, a.shape) for a, e in zip(arrays, ends)]
     p, g = ([buf[lo:hi].reshape(shape) for lo, hi, shape in spans] for buf in (params, grads))
-    k = 2 * len(policy.mean_net.weights)
-    policy.mean_net.weights[:], policy.mean_net.biases[:] = p[0:k:2], p[1:k:2]
-    policy.log_std = p[k]
-    value_net.weights[:], value_net.biases[:] = p[k + 1 :: 2], p[k + 2 :: 2]
+    dense = getattr(net, "mean_net", net)
+    k = 2 * len(dense.weights)
+    dense.weights[:], dense.biases[:] = p[0:k:2], p[1:k:2]
+    if dense is not net:
+        net.log_std = p[k]
     return params, grads, g
 
 

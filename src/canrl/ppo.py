@@ -9,6 +9,7 @@ episode index), so each episode can be replayed on its own.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -244,23 +245,15 @@ def normalize_advantages(adv: np.ndarray) -> np.ndarray:
 
 
 def ppo_loss(
-    batch: dict,
-    policy: GaussianPolicy,
-    value_net: DenseNet,
-    cfg: PPOConfig,
-    grads: list[np.ndarray] | None = None,
-) -> tuple[float, list[np.ndarray], list[np.ndarray], dict]:
-    """Clipped surrogate + value MSE + entropy bonus, with gradients for
-    every policy and critic parameter, written into `grads` (arrays shaped
-    like [*policy.parameters(), *value_net.parameters()], fresh if None)
-    and returned split into the policy's and the critic's."""
-    x, u, lp_old = batch["policy_inputs"], batch["actions"], batch["log_probs"]
-    adv, ret, xv = batch["advantages"], batch["returns"], batch["critic_inputs"]
+    batch: dict, policy: GaussianPolicy, cfg: PPOConfig, grads: list[np.ndarray]
+) -> tuple[float, list[np.ndarray], dict]:
+    """The policy half of one minibatch's loss, clipped surrogate and entropy
+    bonus, unchecked, with its gradients written into `grads` (arrays shaped
+    like policy.parameters()): (loss, grads, stats)."""
+    x, u, lp_old, adv = batch["policy_inputs"], batch["actions"], batch["log_probs"], batch["advantages"]
     n = x.shape[0]
-    if grads is None:
-        grads = [np.empty_like(p) for p in (*policy.parameters(), *value_net.parameters())]
-    k = 2 * len(policy.mean_net.weights)
-    d_log_std, value_grads = grads[k], grads[k + 1 :]
+    k = len(grads) - 1
+    d_log_std = grads[k]
 
     mean, acts = policy.mean_net.forward_cached(x)
     sigma = policy.std()
@@ -288,24 +281,75 @@ def ppo_loss(
     d_log_std -= cfg.entropy_coeff
     d_log_std *= clamp_open
 
-    v, v_acts = value_net.forward_cached(xv)
-    diff = v[:, 0] - ret
-    value_mse = float(np.mean(diff * diff))
-    d_v = (2.0 * cfg.value_coeff / n) * diff
-    value_net.backward_cached(v_acts, d_v[:, None], value_grads)
-
-    loss = policy_loss + cfg.value_coeff * value_mse - cfg.entropy_coeff * entropy
-    if not np.isfinite(loss):
-        raise DivergenceError(f"non-finite loss {loss!r}")
-
     stats = {
         "policy_loss": policy_loss,
-        "value_loss": value_mse,
         "entropy": entropy,
         "kl": float(np.mean(lp_old - lp_new)),
         "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > cfg.clip_epsilon)),
     }
-    return loss, grads[: k + 1], value_grads, stats
+    return policy_loss - cfg.entropy_coeff * entropy, grads, stats
+
+
+def value_loss(
+    batch: dict, value_net: DenseNet, cfg: PPOConfig, grads: list[np.ndarray]
+) -> tuple[float, list[np.ndarray]]:
+    """The critic half: the value MSE, unchecked, with the gradients of
+    value_coeff * MSE written into `grads` (shaped like value_net.parameters())."""
+    ret = batch["returns"]
+    v, v_acts = value_net.forward_cached(batch["critic_inputs"])
+    diff = v[:, 0] - ret
+    value_mse = float(np.mean(diff * diff))
+    d_v = (2.0 * cfg.value_coeff / len(ret)) * diff
+    value_net.backward_cached(v_acts, d_v[:, None], grads)
+    return value_mse, grads
+
+
+def _learner_half(net, loss_fn: Callable, cfg: PPOConfig) -> Callable:
+    """Pack `net`, with Adam moments of its own.  `epoch(order, columns)` runs
+    `loss_fn` and an Adam step on each minibatch of `columns` in `order` until
+    a loss or gradient is non-finite: (the results, whether it stopped)."""
+    params, grad_buffer, grads = pack_parameters(net)
+    adam = AdamState.for_params(params, lr=cfg.lr)
+
+    def epoch(order: np.ndarray, columns: dict) -> tuple[list, bool]:
+        results = []
+        for lo in range(0, len(order), cfg.minibatch_size):
+            idx = order[lo : lo + cfg.minibatch_size]
+            results.append(loss_fn({key: col[idx] for key, col in columns.items()}, net, cfg, grads))
+            if not (math.isfinite(results[-1][0]) and np.isfinite(grad_buffer).all()):
+                return results, True
+            adam_step(params, grad_buffer, adam)
+        return results, False
+
+    return epoch
+
+
+def _critic_worker(conn, parent_end, value_net: DenseNet, cfg: PPOConfig) -> None:
+    """The critic half of `_train_loop`, in a forked process that owns the
+    critic's parameters and Adam moments.  Per iteration: critic inputs in,
+    values out, returns in, then per epoch a permutation in, its value
+    losses and stop flag out, up to a None; a last None asks for the
+    parameters.  Errors, an interrupt too, go to the parent, which reaps it."""
+    parent_end.close()
+    epoch = _learner_half(value_net, value_loss, cfg)
+    try:
+        while (xv := conn.recv()) is not None:
+            conn.send(value_net.forward(xv)[:, 0])
+            columns = {"critic_inputs": xv, "returns": conn.recv()}
+            while (order := conn.recv()) is not None:
+                results, stopped = epoch(order, columns)
+                conn.send(([mse for mse, _ in results], stopped))
+        conn.send(value_net.parameters())
+    except BaseException as exc:  # noqa: BLE001 - raised again in the parent
+        with contextlib.suppress(OSError):
+            conn.send(exc)
+
+
+def _recv(conn):
+    """The worker's next answer; raises the error it sent, or EOFError if it exited."""
+    if isinstance(msg := conn.recv(), BaseException):
+        raise msg
+    return msg
 
 
 # ---------------------------------------------------------------------------
@@ -346,76 +390,93 @@ def _train_loop(
     progress: Callable[[IterationLog], None] | None = None,
     stop_at_terminal: bool = True,
 ) -> tuple[list[IterationLog], CurriculumState, int | None, int]:
-    params, grad_buffer, grads = pack_parameters(actor.policy, actor.value_net)
-    adam = AdamState.for_params(params, lr=ppo_cfg.lr)
+    epoch = _learner_half(actor.policy, ppo_loss, ppo_cfg)
     cur = CurriculumState.from_config(cur_cfg)
     shuffle_rng = episode_rng(seed, SHUFFLE_STREAM, 0)
     log: list[IterationLog] = []
     episodes_used = 0
     iters_to_terminal: int | None = None
 
-    for it in range(max_iterations):
-        if on_iteration is not None:
-            on_iteration(it)
-        level = effective_reset_level(cur)
-        roll = collect_rollouts(
-            actor,
-            task,
-            level,
-            ppo_cfg.rollout_steps,
-            seed,
-            episode_offset=episodes_used,
-            mode=cur_cfg.mode,
-            penalty_coeff=penalty_coeff,
-            max_new_episodes=ppo_cfg.max_episodes - episodes_used,
-        )
-        episodes_used += roll.n_episodes
-        values = actor.value_net.forward(roll.critic_inputs)[:, 0]
-        adv, ret = compute_gae(
-            roll.rewards, values, roll.dones, ppo_cfg.discount, ppo_cfg.gae_lambda
-        )
-        columns = dict(
-            policy_inputs=roll.policy_inputs, actions=roll.actions, log_probs=roll.log_probs,
-            advantages=normalize_advantages(adv), returns=ret, critic_inputs=roll.critic_inputs,
-        )
+    import multiprocessing  # here, so that importing the package does not pay for it
+    critic, child_end = multiprocessing.Pipe()
+    worker = multiprocessing.get_context("fork").Process(
+        target=_critic_worker, args=(child_end, critic, actor.value_net, ppo_cfg), daemon=True)
+    worker.start()
+    child_end.close()  # so a dead worker reads as an EOF here, not a hang
+    try:
+        for it in range(max_iterations):
+            if on_iteration is not None:
+                on_iteration(it)
+            level = effective_reset_level(cur)
+            roll = collect_rollouts(
+                actor,
+                task,
+                level,
+                ppo_cfg.rollout_steps,
+                seed,
+                episode_offset=episodes_used,
+                mode=cur_cfg.mode,
+                penalty_coeff=penalty_coeff,
+                max_new_episodes=ppo_cfg.max_episodes - episodes_used,
+            )
+            episodes_used += roll.n_episodes
+            critic.send(roll.critic_inputs)
+            adv, ret = compute_gae(
+                roll.rewards, _recv(critic), roll.dones, ppo_cfg.discount, ppo_cfg.gae_lambda
+            )
+            critic.send(ret)
+            columns = dict(policy_inputs=roll.policy_inputs, actions=roll.actions,
+                           log_probs=roll.log_probs, advantages=normalize_advantages(adv))
 
-        n = roll.n_steps
-        stats_acc: list[dict] = []
-        for _epoch in range(ppo_cfg.epochs_per_iteration):
-            order = shuffle_rng.permutation(n)
-            epoch_kls = []
-            for lo in range(0, n, ppo_cfg.minibatch_size):
-                idx = order[lo : lo + ppo_cfg.minibatch_size]
-                batch = {key: col[idx] for key, col in columns.items()}
-                _, _, _, stats = ppo_loss(batch, actor.policy, actor.value_net, ppo_cfg, grads)
-                adam_step(params, grad_buffer, adam)
-                stats_acc.append(stats)
-                epoch_kls.append(stats["kl"])
-            if float(np.mean(epoch_kls)) > ppo_cfg.kl_limit:
-                break
-
-        mean_ep = float(np.mean(roll.episode_rewards))
-        row = IterationLog(
-            iteration=it,
-            episodes=roll.n_episodes,
-            random_level=cur.random_level,
-            mean_ep_reward=mean_ep,
-            **{k: float(np.mean([s[k] for s in stats_acc]))
-               for k in ("policy_loss", "value_loss", "entropy", "kl")},
-        )
-        log.append(row)
-        if progress is not None:
-            progress(row)
-
-        if iters_to_terminal is None:
-            cur, _increased, terminal = curriculum_update(cur, mean_ep)
-            if terminal:
-                iters_to_terminal = it + 1
-                if stop_at_terminal:
+            stats_acc: list[dict] = []
+            for _epoch_index in range(ppo_cfg.epochs_per_iteration):
+                order = shuffle_rng.permutation(roll.n_steps)
+                critic.send(order)
+                results, stopped = epoch(order, columns)
+                stats = [r[2] for r in results]
+                value_losses, critic_stopped = _recv(critic)
+                # the first failing minibatch in serial order names the failure,
+                # though either half may have stepped past it within this epoch
+                for s, mse in zip(stats, value_losses):
+                    s["value_loss"] = mse
+                    loss = s["policy_loss"] + ppo_cfg.value_coeff * mse - ppo_cfg.entropy_coeff * s["entropy"]
+                    if not math.isfinite(loss):
+                        raise DivergenceError(f"non-finite loss {loss!r}")
+                if stopped or critic_stopped:
+                    raise DivergenceError("non-finite gradient")
+                stats_acc += stats
+                if float(np.mean([s["kl"] for s in stats])) > ppo_cfg.kl_limit:
                     break
-        if episodes_used >= ppo_cfg.max_episodes:
-            break
+            critic.send(None)
 
+            mean_ep = float(np.mean(roll.episode_rewards))
+            row = IterationLog(
+                iteration=it,
+                episodes=roll.n_episodes,
+                random_level=cur.random_level,
+                mean_ep_reward=mean_ep,
+                **{k: float(np.mean([s[k] for s in stats_acc]))
+                   for k in ("policy_loss", "value_loss", "entropy", "kl")},
+            )
+            log.append(row)
+            if progress is not None:
+                progress(row)
+
+            if iters_to_terminal is None:
+                cur, _increased, terminal = curriculum_update(cur, mean_ep)
+                if terminal:
+                    iters_to_terminal = it + 1
+                    if stop_at_terminal:
+                        break
+            if episodes_used >= ppo_cfg.max_episodes:
+                break
+        critic.send(None)
+        for p, final in zip(actor.value_net.parameters(), _recv(critic)):
+            p[...] = final
+    finally:
+        critic.close()
+        worker.terminate()
+        worker.join()
     return log, cur, iters_to_terminal, episodes_used
 
 

@@ -41,7 +41,7 @@ from canrl.harness import (
     save_module,
 )
 from canrl.nets import DenseNet, GaussianPolicy, gaussian_log_prob
-from canrl.ppo import PPOConfig, compute_gae, ppo_loss, train_attribute, train_base
+from canrl.ppo import PPOConfig, compute_gae, ppo_loss, train_attribute, train_base, value_loss
 from canrl.taskio import load_stock_task, point_sim_config
 from canrl import cli
 
@@ -159,8 +159,17 @@ def test_01_gae_matches_double_sum_oracle(capsys):
 # ---------------------------------------------------------------------------
 # 2: loss gradients against central finite differences
 
+def full_loss(batch, pol, val, cfg):
+    """The policy half and the critic half of the loss, summed as one pass
+    summed them: (loss, policy grads, critic grads)."""
+    _, pol_grads, stats = ppo_loss(batch, pol, cfg, [np.empty_like(p) for p in pol.parameters()])
+    mse, val_grads = value_loss(batch, val, cfg, [np.empty_like(p) for p in val.parameters()])
+    loss = stats["policy_loss"] + cfg.value_coeff * mse - cfg.entropy_coeff * stats["entropy"]
+    return loss, pol_grads, val_grads
+
+
 def fd_worst_error(batch, pol, val, cfg, h=1e-6):
-    _, pol_grads, val_grads, _ = ppo_loss(batch, pol, val, cfg)
+    _, pol_grads, val_grads = full_loss(batch, pol, val, cfg)
     worst = 0.0
     for arr, grad in zip(
         [*pol.parameters(), *val.parameters()], [*pol_grads, *val_grads]
@@ -170,9 +179,9 @@ def fd_worst_error(batch, pol, val, cfg, h=1e-6):
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + h
-            up, _, _, _ = ppo_loss(batch, pol, val, cfg)
+            up, _, _ = full_loss(batch, pol, val, cfg)
             arr[idx] = orig - h
-            down, _, _, _ = ppo_loss(batch, pol, val, cfg)
+            down, _, _ = full_loss(batch, pol, val, cfg)
             arr[idx] = orig
             fd = (up - down) / (2 * h)
             denom = max(1.0, abs(grad[idx]), abs(fd))

@@ -24,6 +24,7 @@ from canrl.ppo import (
     train_attribute,
     train_base,
     train_flat,
+    value_loss,
 )
 from canrl.taskio import load_stock_task
 
@@ -63,13 +64,22 @@ def rel_err(a, b):
     return np.max(np.abs(a - b) / denom)
 
 
+def full_loss(batch, pol, val, cfg):
+    """Both halves of the loss on one minibatch, summed as one pass summed
+    them: (loss, policy grads, critic grads, stats)."""
+    _, pol_grads, stats = ppo_loss(batch, pol, cfg, [np.empty_like(p) for p in pol.parameters()])
+    mse, val_grads = value_loss(batch, val, cfg, [np.empty_like(p) for p in val.parameters()])
+    loss = stats["policy_loss"] + cfg.value_coeff * mse - cfg.entropy_coeff * stats["entropy"]
+    return loss, pol_grads, val_grads, {**stats, "value_loss": mse}
+
+
 def loss_value(batch, pol, val, cfg):
-    loss, _, _, _ = ppo_loss(batch, pol, val, cfg)
+    loss, _, _, _ = full_loss(batch, pol, val, cfg)
     return loss
 
 
 def fd_check_all_params(batch, pol, val, cfg, h=1e-6, tol=1e-5):
-    _, pol_grads, val_grads, _ = ppo_loss(batch, pol, val, cfg)
+    _, pol_grads, val_grads, _ = full_loss(batch, pol, val, cfg)
     analytic = [*pol_grads, *val_grads]
     arrays = [*pol.parameters(), *val.parameters()]
     for arr, grad in zip(arrays, analytic):
@@ -92,7 +102,7 @@ class TestLoss:
         pol, val = tiny_policy_value()
         cfg = PPOConfig(entropy_coeff=0.0, value_coeff=0.0)
         batch = make_batch(pol, val)
-        loss, _, _, stats = ppo_loss(batch, pol, val, cfg)
+        loss, _, _, stats = full_loss(batch, pol, val, cfg)
         assert stats["kl"] == pytest.approx(0.0, abs=1e-12)
         assert loss == pytest.approx(-float(np.mean(batch["advantages"])), abs=1e-12)
         assert stats["clip_fraction"] == 0.0
@@ -119,7 +129,7 @@ class TestLoss:
         cfg = PPOConfig(entropy_coeff=0.0, value_coeff=0.0)
         batch = make_batch(pol, val, n=1, lp_shift=-0.5)  # ratio e^0.5 > 1.2
         batch["advantages"] = np.array([1.0])
-        _, pol_grads, _, stats = ppo_loss(batch, pol, val, cfg)
+        _, pol_grads, _, stats = full_loss(batch, pol, val, cfg)
         assert stats["clip_fraction"] == 1.0
         for g in pol_grads:
             assert np.all(g == 0.0)
@@ -129,7 +139,7 @@ class TestLoss:
         cfg = PPOConfig(entropy_coeff=0.0, value_coeff=0.0)
         batch = make_batch(pol, val, n=1, lp_shift=0.5)  # ratio e^-0.5 < 0.8
         batch["advantages"] = np.array([-1.0])
-        _, pol_grads, _, _ = ppo_loss(batch, pol, val, cfg)
+        _, pol_grads, _, _ = full_loss(batch, pol, val, cfg)
         for g in pol_grads:
             assert np.all(g == 0.0)
 
@@ -138,14 +148,14 @@ class TestLoss:
         cfg = PPOConfig(entropy_coeff=0.0, value_coeff=0.0)
         batch = make_batch(pol, val, n=1, lp_shift=-0.5)
         batch["advantages"] = np.array([1.0])
-        loss, _, _, _ = ppo_loss(batch, pol, val, cfg)
+        loss, _, _, _ = full_loss(batch, pol, val, cfg)
         assert loss == pytest.approx(-1.2, abs=1e-12)  # clip at 1 + eps
 
     def test_entropy_bonus_enters_loss(self):
         pol, val = tiny_policy_value()
         batch = make_batch(pol, val)
-        with_ent, _, _, _ = ppo_loss(batch, pol, val, PPOConfig(entropy_coeff=0.01))
-        without, _, _, _ = ppo_loss(batch, pol, val, PPOConfig(entropy_coeff=0.0))
+        with_ent, _, _, _ = full_loss(batch, pol, val, PPOConfig(entropy_coeff=0.01))
+        without, _, _, _ = full_loss(batch, pol, val, PPOConfig(entropy_coeff=0.0))
         assert with_ent - without == pytest.approx(-0.01 * pol.entropy(), abs=1e-12)
 
     def test_value_loss_is_weighted_mse(self):
@@ -153,7 +163,7 @@ class TestLoss:
         cfg = PPOConfig(entropy_coeff=0.0)
         batch = make_batch(pol, val)
         batch["advantages"] = np.zeros_like(batch["advantages"])
-        loss, _, _, stats = ppo_loss(batch, pol, val, cfg)
+        loss, _, _, stats = full_loss(batch, pol, val, cfg)
         v = val.forward(batch["critic_inputs"])[:, 0]
         mse = float(np.mean((v - batch["returns"]) ** 2))
         assert stats["value_loss"] == pytest.approx(mse, abs=1e-12)
