@@ -295,11 +295,10 @@ def value_loss(
 ) -> tuple[float, list[np.ndarray]]:
     """The critic half: the value MSE, unchecked, with the gradients of
     value_coeff * MSE written into `grads` (shaped like value_net.parameters())."""
-    ret = batch["returns"]
     v, v_acts = value_net.forward_cached(batch["critic_inputs"])
-    diff = v[:, 0] - ret
+    diff = v[:, 0] - batch["returns"]
     value_mse = float(np.mean(diff * diff))
-    d_v = (2.0 * cfg.value_coeff / len(ret)) * diff
+    d_v = (2.0 * cfg.value_coeff / len(diff)) * diff
     value_net.backward_cached(v_acts, d_v[:, None], grads)
     return value_mse, grads
 
@@ -325,11 +324,10 @@ def _learner_half(net, loss_fn: Callable, cfg: PPOConfig) -> Callable:
 
 
 def _critic_worker(conn, parent_end, value_net: DenseNet, cfg: PPOConfig) -> None:
-    """The critic half of `_train_loop`, in a forked process that owns the
-    critic's parameters and Adam moments.  Per iteration: critic inputs in,
-    values out, returns in, then per epoch a permutation in, its value
-    losses and stop flag out, up to a None; a last None asks for the
-    parameters.  Errors, an interrupt too, go to the parent, which reaps it."""
+    """The critic half of `_train_loop`, in a forked process that owns the critic's
+    parameters and Adam moments.  Per iteration: critic inputs in, values out, returns
+    in, then per epoch a permutation in, its value losses and stop flag out, up to a
+    None; a last None asks for the parameters.  Errors go to the parent, which reaps it."""
     parent_end.close()
     epoch = _learner_half(value_net, value_loss, cfg)
     try:
@@ -390,6 +388,9 @@ def _train_loop(
     progress: Callable[[IterationLog], None] | None = None,
     stop_at_terminal: bool = True,
 ) -> tuple[list[IterationLog], CurriculumState, int | None, int]:
+    # free a 1 MiB block, as the rollout-wide value pass now in the worker did: glibc's malloc then
+    # keeps the 128 KiB minibatch temporaries on its heap instead of paging them in anew each time
+    np.empty(1 << 17)
     epoch = _learner_half(actor.policy, ppo_loss, ppo_cfg)
     cur = CurriculumState.from_config(cur_cfg)
     shuffle_rng = episode_rng(seed, SHUFFLE_STREAM, 0)
@@ -435,8 +436,7 @@ def _train_loop(
                 results, stopped = epoch(order, columns)
                 stats = [r[2] for r in results]
                 value_losses, critic_stopped = _recv(critic)
-                # the first failing minibatch in serial order names the failure,
-                # though either half may have stepped past it within this epoch
+                # the first failing minibatch in serial order names the failure; either half may be past it
                 for s, mse in zip(stats, value_losses):
                     s["value_loss"] = mse
                     loss = s["policy_loss"] + ppo_cfg.value_coeff * mse - ppo_cfg.entropy_coeff * s["entropy"]
