@@ -10,6 +10,7 @@ episode index), so each episode can be replayed on its own.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import itertools
 import math
 from dataclasses import dataclass
@@ -329,6 +330,7 @@ def _critic_worker(conn, parent_end, value_net: DenseNet, cfg: PPOConfig) -> Non
     in, then per epoch a permutation in, its value losses and stop flag out, up to a
     None; a last None asks for the parameters.  Errors go to the parent, which reaps it."""
     parent_end.close()
+    _one_blas_thread()
     epoch = _learner_half(value_net, value_loss, cfg)
     try:
         while (xv := conn.recv()) is not None:
@@ -341,6 +343,31 @@ def _critic_worker(conn, parent_end, value_net: DenseNet, cfg: PPOConfig) -> Non
     except BaseException as exc:  # noqa: BLE001 - raised again in the parent
         with contextlib.suppress(OSError):
             conn.send(exc)
+
+
+def _openblas_threads() -> tuple[Callable, Callable] | None:
+    """The get and set thread-count functions of the OpenBLAS this process has
+    loaded, found through /proc/self/maps, or None."""
+    with contextlib.suppress(OSError), open("/proc/self/maps") as fh:
+        for lib in sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line}):
+            dll = ctypes.CDLL(lib)
+            for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                         "openblas_{}_num_threads"):
+                get, put = getattr(dll, name.format("get"), None), getattr(dll, name.format("set"), None)
+                if get is not None and put is not None:
+                    get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+                    return get, put
+    return None
+
+
+def _one_blas_thread() -> Callable[[], None]:
+    """Put OpenBLAS on one thread in this process; returns what restores its count.
+    The learner's two processes fill two cores, and more BLAS threads, which spin
+    while they wait, would oversubscribe them (3x slower on two cores)."""
+    get, put = _openblas_threads() or (lambda: None, lambda n: None)
+    before = get()
+    put(1)
+    return lambda: put(before)
 
 
 def _recv(conn):
@@ -404,6 +431,7 @@ def _train_loop(
         target=_critic_worker, args=(child_end, critic, actor.value_net, ppo_cfg), daemon=True)
     worker.start()
     child_end.close()  # so a dead worker reads as an EOF here, not a hang
+    restore_blas_threads = _one_blas_thread()
     try:
         for it in range(max_iterations):
             if on_iteration is not None:
@@ -477,6 +505,7 @@ def _train_loop(
         critic.close()
         worker.terminate()
         worker.join()
+        restore_blas_threads()
     return log, cur, iters_to_terminal, episodes_used
 
 

@@ -668,6 +668,21 @@ class TestWorkerLifecycle:
             assert summary["arms"][arm] == {"error": "DivergenceError: non-finite loss nan"}
         assert_no_child_process()
 
+    def test_blas_runs_one_thread_while_training_then_its_own_count(self):
+        threads = ppo._openblas_threads()
+        if threads is None:
+            pytest.skip("no OpenBLAS to be found in this process")
+        get, put = threads
+        before = get()
+        put(2)
+        try:
+            seen = []
+            self.train(PoisonedActor(self.REACH.task), progress=lambda _row: seen.append(get()))
+            assert seen == [1, 1]
+            assert get() == 2
+        finally:
+            put(before)
+
     def test_worker_that_exits_fails_the_run_fast(self, monkeypatch):
         def exits_at_first_message(conn, parent_end, *args):
             parent_end.close()
