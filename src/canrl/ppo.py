@@ -330,9 +330,9 @@ def _critic_worker(conn, parent_end, value_net: DenseNet, cfg: PPOConfig) -> Non
     in, then per epoch a permutation in, its value losses and stop flag out, up to a
     None; a last None asks for the parameters.  Errors go to the parent, which reaps it."""
     parent_end.close()
-    _one_blas_thread()
-    epoch = _learner_half(value_net, value_loss, cfg)
     try:
+        _one_blas_thread()
+        epoch = _learner_half(value_net, value_loss, cfg)
         while (xv := conn.recv()) is not None:
             conn.send(value_net.forward(xv)[:, 0])
             columns = {"critic_inputs": xv, "returns": conn.recv()}
