@@ -76,16 +76,6 @@ class PPOConfig:
 
 
 @dataclass
-class Transition:
-    policy_input: np.ndarray
-    action: np.ndarray  # the trainable head's sample
-    log_prob: float
-    critic_input: np.ndarray
-    reward: float = 0.0
-    done: bool = False
-
-
-@dataclass
 class Rollout:
     policy_inputs: np.ndarray
     actions: np.ndarray
@@ -114,14 +104,10 @@ class FlatActor:
         self.value_net = value_net
         self.view_fn = view_fn
 
-    def act(self, worlds, rngs) -> tuple[np.ndarray, list[Transition]]:
+    def act(self, worlds, rngs) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         views = self.view_fn(worlds)
         actions, log_probs = self.policy.sample(views, rngs)
-        # a banked transition holds a row of the tick's own view block, all
-        # of whose rows are banked, and a copy of its action row
-        return actions, [
-            Transition(v, a.copy(), float(lp), v) for v, a, lp in zip(views, actions, log_probs)
-        ]
+        return actions, (views, actions, log_probs, views)
 
 
 class CascadeTailActor:
@@ -139,17 +125,11 @@ class CascadeTailActor:
         self.policy = self.module.comp_policy
         self.value_net = self.module.value_net
 
-    def act(self, worlds, rngs) -> tuple[np.ndarray, list[Transition]]:
+    def act(self, worlds, rngs) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         tail = len(self.cascade.modules)
         actions, rec = cascade_act(self.cascade, worlds, rngs, explore=tail)
         critic_in = np.concatenate([rec.base_view, rec.views[-1]], axis=1)
-        # copies: banking views of the tick blocks raised the arm run's peak RSS
-        return actions, [
-            Transition(x.copy(), a.copy(), float(lp), c.copy())
-            for x, a, lp, c in zip(
-                rec.comp_inputs[-1], rec.comp_actions[-1], rec.log_prob, critic_in
-            )
-        ]
+        return actions, (rec.comp_inputs[-1], rec.comp_actions[-1], rec.log_prob, critic_in)
 
 
 def collect_rollouts(
@@ -163,22 +143,28 @@ def collect_rollouts(
     penalty_coeff: float = 0.0,
     max_new_episodes: int | None = None,
 ) -> Rollout:
-    """Whole episodes in index order until at least n_steps transitions
-    are banked, exactly as if they ran one after another.
+    """Whole episodes in index order until at least n_steps steps are
+    banked, exactly as if they ran one after another.
 
-    `actor.act(worlds, rngs)` returns the env actions and the Transitions
-    of its trainable head.  Episodes run in lockstep, and episode k is
-    admitted only once the serial batch is sure to contain it: no episode
-    outlasts the horizon, so the steps of the finished episodes plus a
-    full horizon for each live one bound the steps before k.  Admission
-    waits while that bound reaches n_steps, so no episode is stepped and
-    then thrown away, and the batch does not depend on how many run at
-    once."""
+    `actor.act(worlds, rngs)` returns the env actions and its trainable
+    head's policy inputs, actions, log-probs and critic inputs, as blocks
+    with a row per world that nothing writes to after; each tick's blocks
+    are banked whole and gathered into episode order once, at the end.
+    Episodes run in lockstep, and episode k is admitted only once the
+    serial batch is sure to contain it: no episode outlasts the horizon,
+    so the steps of the finished episodes plus a full horizon for each
+    live one bound the steps before k.  Admission waits while that bound
+    reaches n_steps, so no episode is stepped and then thrown away, and
+    the batch does not depend on how many run at once."""
     longest = task.cfg.horizon  # step_task ends every episode by then
     count = itertools.count() if max_new_episodes is None else range(max_new_episodes)
     rngs = (episode_rng(seed, TRAIN_STREAM, episode_offset + j) for j in count)
     finished_steps = 0
-    episodes: list[list[Transition]] = []
+    blocks: list[tuple[np.ndarray, ...]] = []
+    # per episode, its steps' indices in the joined blocks: every row of every
+    # tick is banked in order, so a step's index is the count banked before it
+    indices: list[list[int]] = []
+    rewards: list[float] = []
     episode_rewards: list[float] = []
 
     def admit(n_live: int) -> bool:
@@ -186,31 +172,25 @@ def collect_rollouts(
 
     for step in run_episodes(task, actor.act, level, rngs, mode, admit):
         k = step.episode
-        if k == len(episodes):
-            episodes.append([])
+        if step.row == 0:
+            blocks.append(step.records)
+        if k == len(indices):
+            indices.append([])
             episode_rewards.append(0.0)
-        tr = step.records[step.row]
         r = float(sum(step.rewards))
         if penalty_coeff > 0.0:
-            r += compensation_penalty(tr.action, penalty_coeff)
-        tr.reward = r
-        tr.done = step.done
-        episodes[k].append(tr)
+            r += compensation_penalty(step.records[1][step.row], penalty_coeff)
+        indices[k].append(len(rewards))
+        rewards.append(r)
         episode_rewards[k] += r
         if step.done:
-            finished_steps += len(episodes[k])
-    trs = [tr for ep in episodes for tr in ep]
-
-    return Rollout(
-        policy_inputs=np.stack([t.policy_input for t in trs]),
-        actions=np.stack([t.action for t in trs]),
-        log_probs=np.array([t.log_prob for t in trs]),
-        critic_inputs=np.stack([t.critic_input for t in trs]),
-        rewards=np.array([t.reward for t in trs]),
-        dones=np.array([float(t.done) for t in trs]),
-        episode_rewards=episode_rewards,
-        episode_lengths=[len(ep) for ep in episodes],
-    )
+            finished_steps += len(indices[k])
+    order = np.concatenate(indices)
+    lengths = [len(ep) for ep in indices]
+    dones = np.zeros(len(order))
+    dones[np.cumsum(lengths) - 1] = 1.0
+    columns = [np.concatenate(column)[order] for column in zip(*blocks)]
+    return Rollout(*columns, np.array(rewards)[order], dones, episode_rewards, lengths)
 
 
 def compute_gae(

@@ -498,7 +498,7 @@ def random_base(task, seed=3):
 
 class PoisonedActor(FlatActor):
     """A flat point actor that banks one non-finite entry in the critic
-    input or the log-prob of chosen transitions, counted in acting order."""
+    input or the log-prob of chosen steps, counted in acting order."""
 
     def __init__(self, task, critic_at=(), log_prob_at=(), critic_value=math.inf):
         pol, val = make_actor(np.random.default_rng(9), (6, 2, (8,), 6))
@@ -507,15 +507,16 @@ class PoisonedActor(FlatActor):
         self.banked = 0
 
     def act(self, worlds, rngs):
-        actions, trs = super().act(worlds, rngs)
-        for tr in trs:
+        actions, (x, u, log_probs, critic) = super().act(worlds, rngs)
+        # FlatActor's critic block is its policy block: poison copies
+        log_probs, critic = log_probs.copy(), critic.copy()
+        for row in range(len(worlds)):
             if self.banked in self.critic_at:
-                tr.critic_input = tr.critic_input.copy()
-                tr.critic_input[0] = self.critic_value
+                critic[row, 0] = self.critic_value
             if self.banked in self.log_prob_at:
-                tr.log_prob = math.nan
+                log_probs[row] = math.nan
             self.banked += 1
-        return actions, trs
+        return actions, (x, u, log_probs, critic)
 
 
 SMALL = PPOConfig(rollout_steps=300, epochs_per_iteration=4, minibatch_size=64, lr=3e-4)

@@ -15,7 +15,6 @@ from canrl.ppo import (
     FlatActor,
     PPOConfig,
     Rollout,
-    Transition,
     collect_rollouts,
     compute_gae,
     episode_rng,
@@ -177,17 +176,16 @@ class ScriptedActor:
         self.task = task
 
     def act(self, worlds, rngs):
-        forces, trs = [], []
-        for w in worlds:
-            force = np.clip(
+        forces = np.array([
+            np.clip(
                 2.5 * (w.target_position - w.robot.position) - 1.2 * w.robot.velocity,
                 -1.0,
                 1.0,
             )
-            view = self.task.base.extract([w])[0]
-            forces.append(force)
-            trs.append(Transition(view, force, 0.0, view))
-        return np.array(forces), trs
+            for w in worlds
+        ])
+        views = self.task.base.extract(worlds)
+        return forces, (views, forces, np.zeros(len(worlds)), views)
 
 
 class TestCollect:
@@ -242,29 +240,30 @@ class TestCollect:
 def serial_rollout(actor, task, level, n_steps, seed, episode_offset=0, mode="cl",
                    penalty_coeff=0.0, max_new_episodes=None):
     """Serial twin of collect_rollouts: one run_episodes call per episode,
-    in index order, until n_steps transitions are banked."""
-    trs, totals, lengths = [], [], []
-    while len(trs) < n_steps and (max_new_episodes is None or len(totals) < max_new_episodes):
+    in index order, until n_steps steps are banked, each as a copy of its
+    row of every block the actor returned."""
+    rows, totals, lengths = [], [], []
+    while len(rows) < n_steps and (max_new_episodes is None or len(totals) < max_new_episodes):
         rng = episode_rng(seed, TRAIN_STREAM, episode_offset + len(totals))
         total, length = 0.0, 0
         for step in run_episodes(task, actor.act, level, [rng], mode):
-            tr = step.records[step.row]
-            tr.reward = float(sum(step.rewards))
+            x, u, lp, c = (block[step.row].copy() for block in step.records)
+            reward = float(sum(step.rewards))
             if penalty_coeff > 0.0:
-                tr.reward += compensation_penalty(tr.action, penalty_coeff)
-            tr.done = step.done
-            trs.append(tr)
-            total += tr.reward
+                reward += compensation_penalty(u, penalty_coeff)
+            rows.append((x, u, lp, c, reward, float(step.done)))
+            total += reward
             length += 1
         totals.append(total)
         lengths.append(length)
+    x, u, lp, c, r, d = zip(*rows)
     return Rollout(
-        policy_inputs=np.stack([t.policy_input for t in trs]),
-        actions=np.stack([t.action for t in trs]),
-        log_probs=np.array([t.log_prob for t in trs]),
-        critic_inputs=np.stack([t.critic_input for t in trs]),
-        rewards=np.array([t.reward for t in trs]),
-        dones=np.array([float(t.done) for t in trs]),
+        policy_inputs=np.stack(x),
+        actions=np.stack(u),
+        log_probs=np.array(lp),
+        critic_inputs=np.stack(c),
+        rewards=np.array(r),
+        dones=np.array(d),
         episode_rewards=totals,
         episode_lengths=lengths,
     )
@@ -376,6 +375,30 @@ class TestLockstepRollouts:
         want = serial_rollout(actor, self.POINT, level, n_steps, seed, episode_offset=offset)
         assert_same_rollout(roll, want)
         assert steps == roll.n_steps
+
+    @pytest.mark.parametrize("robot", ["point", "arm"])
+    def test_columns_share_no_memory(self, robot):
+        """Each column is a gather of its own: no two share memory, and
+        none shares memory with the blocks the actor returned."""
+        if robot == "point":
+            task, actor = self.POINT, point_servo_actor(self.POINT)
+        else:
+            task, actor = self.ARM, arm_tail_actor(self.ARM)[0]
+        act, returned = actor.act, []
+
+        def recording(worlds, rngs):
+            actions, blocks = act(worlds, rngs)
+            returned.extend(blocks)
+            return actions, blocks
+
+        actor.act = recording
+        roll = collect_rollouts(actor, task, 0.5, 400, seed=3)
+        assert roll.n_episodes > 1 and len(returned) > 4
+        columns = [roll.policy_inputs, roll.actions, roll.log_probs, roll.critic_inputs,
+                   roll.rewards, roll.dones]
+        for i, col in enumerate(columns):
+            for other in [*columns[i + 1 :], *returned]:
+                assert not np.shares_memory(col, other)
 
     @pytest.mark.parametrize("task_name", ["arm_reach", "arm_obstacle"])
     def test_arm_points_once_per_state(self, monkeypatch, task_name):
