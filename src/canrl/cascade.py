@@ -20,6 +20,7 @@ from .attributes import AttributeSpec, make_attribute, robot_columns
 from .dynamics import SimConfig, WorldState, action_dim, action_limits
 from .errors import TaskConfigError
 from .nets import DenseNet, GaussianPolicy
+from .taskio import _finite
 
 DEFAULT_PENALTY_COEFF = 0.01
 INITIAL_MODULE_WEIGHT = 0.1
@@ -226,6 +227,9 @@ def attribute_module_from_dict(d: dict, entity_index: int = 0) -> AttributeModul
         raise TaskConfigError(
             f"not an attribute module checkpoint: kind={d.get('kind')!r}"
         )
+    for key in ("weight", "penalty_coeff"):
+        if not _finite(d.get(key)):
+            raise TaskConfigError(f"checkpoint {key} must be a finite number, got {d.get(key)!r}")
     return AttributeModule(
         robot=d["robot"],
         kind=d["attribute"],

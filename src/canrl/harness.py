@@ -39,7 +39,7 @@ from .ppo import (
     train_base,
     train_flat,
 )
-from .taskio import LoadedTask
+from .taskio import LoadedTask, _finite
 
 # ---------------------------------------------------------------------------
 # writers
@@ -114,13 +114,6 @@ def load_module(path: str | Path, entity_index: int = 0) -> AttributeModule:
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-VIOLATION_EVENTS = ("touched_obstacle", "touched_door", "speed_violation")
-
-
-def _violation(event: str) -> bool:
-    return event.startswith(VIOLATION_EVENTS)
-
 
 def _robot_record(world) -> dict:
     r = world.robot
@@ -204,8 +197,8 @@ def evaluate_policy(
             for k in range(n):
                 got_there = "reached_target" in events[k]
                 clean = True
-                for ev in events[k]:
-                    if _violation(ev):
+                for ev in events[k]:  # every other event is a penalty event
+                    if ev != "reached_target":
                         clean = False
                         violations[ev] = violations.get(ev, 0) + 1
                 reached += int(got_there)
@@ -345,11 +338,16 @@ def load_cascade(descriptor_path: str | Path, task: Task) -> CascadePolicy:
     base = load_base(root / d["base_checkpoint"])
     payloads: dict[Path, dict] = {}  # each file parsed once, however often it is bound
     modules = []
-    for entry in d.get("modules", []):
+    for i, entry in enumerate(d.get("modules", [])):
+        binding = entry.get("entity_binding", 0)
+        if isinstance(binding, bool) or not isinstance(binding, int) or binding < 0:
+            raise TaskConfigError(f"module {i}: entity_binding must be an integer >= 0, got {binding!r}")
+        if "weight" in entry and not _finite(entry["weight"]):
+            raise TaskConfigError(f"module {i}: weight must be a finite number, got {entry['weight']!r}")
         path = root / entry["checkpoint"]
         if path not in payloads:
             payloads[path] = read_json(path)
-        module = attribute_module_from_dict(payloads[path], int(entry.get("entity_binding", 0)))
+        module = attribute_module_from_dict(payloads[path], binding)
         if "weight" in entry:
             module.weight = float(entry["weight"])
         modules.append(module)

@@ -11,7 +11,6 @@ from canrl.cascade import AttributeModule, BaseModule, make_cascade
 from canrl.harness import (
     CLEARANCE_FACTOR,
     EVAL_BLOCK,
-    VIOLATION_EVENTS,
     base_actor,
     cascade_actor,
     compensation_profile,
@@ -177,6 +176,9 @@ def _robot_fields(world):
     }
 
 
+VIOLATION_PREFIXES = ("touched_obstacle", "touched_door", "speed_violation")
+
+
 def serial_evaluate(act, task, episodes, seed):
     """Scalar twin of evaluate_policy: one episode at a time, each fed to
     run_episodes alone.  Returns the report and the trajectory text."""
@@ -191,7 +193,7 @@ def serial_evaluate(act, task, episodes, seed):
             for ev in step.events:
                 if ev == "reached_target":
                     got_there = True
-                elif ev.startswith(VIOLATION_EVENTS):
+                elif ev.startswith(VIOLATION_PREFIXES):
                     clean = False
                     violations[ev] = violations.get(ev, 0) + 1
             lines.append(json.dumps({
@@ -554,6 +556,39 @@ class TestCli:
         rc = cli.main(["eval", "--task", "point_reach", "--base", str(path), "--episodes", "1"])
         assert rc == 2
         assert "checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, key, value", [
+        ("descriptor", "entity_binding", -1),
+        ("descriptor", "entity_binding", -3),
+        ("descriptor", "entity_binding", 1.5),
+        ("descriptor", "entity_binding", "x"),
+        ("descriptor", "entity_binding", True),
+        ("descriptor", "weight", "heavy"),
+        ("descriptor", "weight", float("nan")),
+        ("descriptor", "weight", False),
+        ("checkpoint", "weight", "heavy"),
+        ("checkpoint", "weight", float("nan")),
+        ("checkpoint", "weight", None),
+        ("checkpoint", "penalty_coeff", "x"),
+        ("checkpoint", "penalty_coeff", float("inf")),
+        ("checkpoint", "penalty_coeff", True),
+    ])
+    def test_eval_malformed_stack_exits_2(self, tmp_path, capsys, where, key, value):
+        save_base(tmp_path / "b.json", pinned_base())
+        module = tmp_path / "m.json"
+        save_module(module, pinned_module())
+        entries = [{"checkpoint": "m.json", "entity_binding": k} for k in (0, 1)]
+        if where == "descriptor":
+            entries[1][key] = value
+        else:
+            d = read_json(module)
+            d[key] = value
+            module.write_text(json.dumps(d))
+        write_cascade_descriptor(tmp_path / "stack.json", "b.json", entries)
+        rc = cli.main(["eval", "--task", "point_two_obstacles", "--descriptor",
+                       str(tmp_path / "stack.json"), "--episodes", "1"])
+        assert rc == 2
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("task, change", [
         ("point_door", {"period": 0}),
