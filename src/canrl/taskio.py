@@ -67,22 +67,11 @@ class LoadedTask:
 
 
 def point_sim_config(**overrides) -> SimConfig:
-    base = dict(
-        dt=0.05, horizon=200, mass=1.0, damping=0.8, force_limit=1.0,
-        target_radius=0.08, workspace=1.0, robot_radius=0.03,
-    )
-    base.update(overrides)
-    return SimConfig(**base)
+    return SimConfig(**overrides)
 
 
 def arm_sim_config(**overrides) -> SimConfig:
-    base = dict(
-        dt=0.05, horizon=300, mass=1.0, damping=0.8, force_limit=1.0,
-        torque_limit=1.0, joint_inertia=1.0, link_lengths=(0.25, 0.25, 0.25, 0.25),
-        target_radius=0.1, workspace=1.0, link_radius=0.03,
-    )
-    base.update(overrides)
-    return SimConfig(**base)
+    return SimConfig(**{"horizon": 300, "target_radius": 0.1, **overrides})
 
 
 # each must be a finite number > 0 (damping >= 0); an arm also needs four
