@@ -332,13 +332,18 @@ def load_cascade(descriptor_path: str | Path, task: Task) -> CascadePolicy:
     """Rebuild a stack from a descriptor; paths resolve next to the file."""
     descriptor_path = Path(descriptor_path)
     d = read_json(descriptor_path)
-    if d.get("kind") != "cascade":
-        raise TaskConfigError(f"not a cascade descriptor: kind={d.get('kind')!r}")
+    if not isinstance(d, dict) or d.get("kind") != "cascade":
+        raise TaskConfigError(f"not a cascade descriptor: {descriptor_path}")
+    entries = d.get("modules", [])
+    if not (isinstance(d.get("base_checkpoint"), str) and isinstance(entries, list) and all(
+            isinstance(e, dict) and isinstance(e.get("checkpoint"), str) for e in entries)):
+        raise TaskConfigError(f"{descriptor_path}: needs a base_checkpoint path and a list of "
+                              "modules, each an object with a checkpoint path")
     root = descriptor_path.parent
     base = load_base(root / d["base_checkpoint"])
     payloads: dict[Path, dict] = {}  # each file parsed once, however often it is bound
     modules = []
-    for i, entry in enumerate(d.get("modules", [])):
+    for i, entry in enumerate(entries):
         binding = entry.get("entity_binding", 0)
         if isinstance(binding, bool) or not isinstance(binding, int) or binding < 0:
             raise TaskConfigError(f"module {i}: entity_binding must be an integer >= 0, got {binding!r}")

@@ -590,6 +590,22 @@ class TestCli:
         assert rc == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("descriptor", [
+        [], {"kind": "base"}, {"kind": "cascade", "modules": []},
+        {"kind": "cascade", "base_checkpoint": 7, "modules": []},
+        {"kind": "cascade", "base_checkpoint": "b.json", "modules": 5},
+        {"kind": "cascade", "base_checkpoint": "b.json", "modules": ["m.json"]},
+        {"kind": "cascade", "base_checkpoint": "b.json", "modules": [{"checkpoint": 5}]},
+    ])
+    def test_eval_malformed_descriptor_exits_2(self, tmp_path, capsys, descriptor):
+        save_base(tmp_path / "b.json", pinned_base())
+        save_module(tmp_path / "m.json", pinned_module())
+        (tmp_path / "stack.json").write_text(json.dumps(descriptor))
+        rc = cli.main(["eval", "--task", "point_obstacle", "--descriptor",
+                       str(tmp_path / "stack.json"), "--episodes", "1"])
+        assert rc == 2
+        assert "descriptor" in capsys.readouterr().err
+
     @pytest.mark.parametrize("task, change", [
         ("point_door", {"period": 0}),
         ("point_door", {"open_fraction": 1.5}),
