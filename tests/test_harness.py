@@ -596,7 +596,8 @@ class TestCli:
         {"kind": "cascade", "base_checkpoint": "b.json", "modules": 5},
         {"kind": "cascade", "base_checkpoint": "b.json", "modules": ["m.json"]},
         {"kind": "cascade", "base_checkpoint": "b.json", "modules": [{"checkpoint": 5}]},
-    ])
+    ], ids=["not_object", "kind_base", "no_base", "base_not_path", "modules_not_list",
+            "entry_not_object", "checkpoint_not_path"])
     def test_eval_malformed_descriptor_exits_2(self, tmp_path, capsys, descriptor):
         save_base(tmp_path / "b.json", pinned_base())
         save_module(tmp_path / "m.json", pinned_module())
