@@ -20,7 +20,7 @@ from .attributes import AttributeSpec, make_attribute, robot_columns
 from .dynamics import SimConfig, WorldState, action_dim, action_limits
 from .errors import TaskConfigError
 from .nets import DenseNet, GaussianPolicy
-from .taskio import _finite
+from .taskio import _ADDON_KIND, _NUMBER, _OBJECT, _ROBOT, _is, check_fields
 
 DEFAULT_PENALTY_COEFF = 0.01
 INITIAL_MODULE_WEIGHT = 0.1
@@ -199,9 +199,14 @@ def base_module_to_dict(base: BaseModule) -> dict:
     }
 
 
+# what each field of a checkpoint must be; every one is required
+_BASE_RULES = {"kind": _is("base"), "robot": _ROBOT, "policy": _OBJECT, "value": _OBJECT}
+_MODULE_RULES = {**_BASE_RULES, "kind": _is("attribute_module"), "attribute": _ADDON_KIND,
+                 "weight": _NUMBER, "penalty_coeff": _NUMBER}
+
+
 def base_module_from_dict(d: dict) -> BaseModule:
-    if d.get("kind") != "base":
-        raise TaskConfigError(f"not a base checkpoint: kind={d.get('kind')!r}")
+    check_fields(d, _BASE_RULES, "base checkpoint ", required=_BASE_RULES)
     return BaseModule(
         robot=d["robot"],
         policy=GaussianPolicy.from_dict(d["policy"]),
@@ -223,13 +228,7 @@ def attribute_module_to_dict(module: AttributeModule) -> dict:
 
 
 def attribute_module_from_dict(d: dict, entity_index: int = 0) -> AttributeModule:
-    if d.get("kind") != "attribute_module":
-        raise TaskConfigError(
-            f"not an attribute module checkpoint: kind={d.get('kind')!r}"
-        )
-    for key in ("weight", "penalty_coeff"):
-        if not _finite(d.get(key)):
-            raise TaskConfigError(f"checkpoint {key} must be a finite number, got {d.get(key)!r}")
+    check_fields(d, _MODULE_RULES, "module checkpoint ", required=_MODULE_RULES)
     return AttributeModule(
         robot=d["robot"],
         kind=d["attribute"],

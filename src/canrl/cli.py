@@ -8,7 +8,7 @@
 
 Tasks are stock names or paths to task JSON files.  Progress goes to
 stderr, reports to stdout.  Exit code 1 flags diverged training, 2 flags
-a usage or configuration problem.
+a usage or configuration problem, or a sim whose physics diverged.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .cascade import make_cascade
-from .errors import DivergenceError, InfeasibleTaskError, TaskConfigError
+from .errors import DivergenceError, InfeasibleTaskError, SimulationFault, TaskConfigError
 from .harness import (
     RunConfig,
     cascade_actor,
@@ -257,7 +257,8 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         _emit(f"diverged: {exc}")
         return 1
-    except (FileNotFoundError, KeyError, TaskConfigError, InfeasibleTaskError) as exc:
+    except (FileNotFoundError, KeyError, TaskConfigError, InfeasibleTaskError,
+            SimulationFault) as exc:
         _emit(f"error: {exc}")
         return 2
 

@@ -39,7 +39,7 @@ from .ppo import (
     train_base,
     train_flat,
 )
-from .taskio import LoadedTask, _finite
+from .taskio import _NUMBER, LoadedTask, _is, check_fields, read_json
 
 # ---------------------------------------------------------------------------
 # writers
@@ -55,16 +55,6 @@ def write_json(path: str | Path, payload: dict) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def read_json(path: str | Path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise TaskConfigError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def write_csv(path: str | Path, columns, rows) -> Path:
@@ -105,11 +95,11 @@ def save_module(path: str | Path, module: AttributeModule) -> Path:
 
 
 def load_base(path: str | Path) -> BaseModule:
-    return base_module_from_dict(read_json(path))
+    return base_module_from_dict(read_json(path, "base checkpoint"))
 
 
 def load_module(path: str | Path, entity_index: int = 0) -> AttributeModule:
-    return attribute_module_from_dict(read_json(path), entity_index)
+    return attribute_module_from_dict(read_json(path, "module checkpoint"), entity_index)
 
 
 # ---------------------------------------------------------------------------
@@ -312,47 +302,52 @@ def cascade_for_task(
     base: BaseModule, modules: list[AttributeModule], task: Task
 ) -> CascadePolicy:
     """Build a stack that can act in `task`: the base must drive the task's
-    robot and every obstacle binding must exist, on top of the width
-    checks of `make_cascade`."""
+    robot, every module must compensate for one of its add-ons and every
+    obstacle binding must exist, on top of the width checks of
+    `make_cascade`."""
     if base.robot != task.robot:
         raise TaskConfigError(
             f"base checkpoint drives {base.robot!r}, task uses {task.robot!r}"
         )
-    n_obstacles = sum(1 for a in task.addon_setups if a.kind == "obstacle")
+    kinds = [a.kind for a in task.addon_setups]
     for i, m in enumerate(modules):
-        if m.kind == "obstacle" and m.entity_index >= n_obstacles:
+        if m.kind not in kinds:
+            raise TaskConfigError(f"module {i} compensates for {m.kind!r}, task has no such add-on")
+        if m.kind == "obstacle" and m.entity_index >= kinds.count("obstacle"):
             raise TaskConfigError(
                 f"module {i} bound to obstacle {m.entity_index}, "
-                f"task defines {n_obstacles}"
+                f"task defines {kinds.count('obstacle')}"
             )
     return make_cascade(base, modules, task.cfg)
+
+
+# what each field of a cascade descriptor, and of each of its modules, must be
+_PATH = (lambda v: isinstance(v, str), "a path")
+_OBJECTS = (lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v),
+            "a list of objects")
+_DESCRIPTOR_RULES = {"kind": _is("cascade"), "base_checkpoint": _PATH, "modules": _OBJECTS}
+_INDEX = (lambda v: not isinstance(v, bool) and isinstance(v, int) and v >= 0, "an integer >= 0")
+_ENTRY_RULES = {"checkpoint": _PATH, "entity_binding": _INDEX, "weight": _NUMBER}
 
 
 def load_cascade(descriptor_path: str | Path, task: Task) -> CascadePolicy:
     """Rebuild a stack from a descriptor; paths resolve next to the file."""
     descriptor_path = Path(descriptor_path)
-    d = read_json(descriptor_path)
-    if not isinstance(d, dict) or d.get("kind") != "cascade":
-        raise TaskConfigError(f"not a cascade descriptor: {descriptor_path}")
+    d = read_json(descriptor_path, "cascade descriptor")
+    where = f"cascade descriptor {descriptor_path}: "
+    check_fields(d, _DESCRIPTOR_RULES, where, required=("kind", "base_checkpoint"))
     entries = d.get("modules", [])
-    if not (isinstance(d.get("base_checkpoint"), str) and isinstance(entries, list) and all(
-            isinstance(e, dict) and isinstance(e.get("checkpoint"), str) for e in entries)):
-        raise TaskConfigError(f"{descriptor_path}: needs a base_checkpoint path and a list of "
-                              "modules, each an object with a checkpoint path")
+    for i, entry in enumerate(entries):
+        check_fields(entry, _ENTRY_RULES, f"{where}modules[{i}].", required=("checkpoint",))
     root = descriptor_path.parent
     base = load_base(root / d["base_checkpoint"])
     payloads: dict[Path, dict] = {}  # each file parsed once, however often it is bound
     modules = []
-    for i, entry in enumerate(entries):
-        binding = entry.get("entity_binding", 0)
-        if isinstance(binding, bool) or not isinstance(binding, int) or binding < 0:
-            raise TaskConfigError(f"module {i}: entity_binding must be an integer >= 0, got {binding!r}")
-        if "weight" in entry and not _finite(entry["weight"]):
-            raise TaskConfigError(f"module {i}: weight must be a finite number, got {entry['weight']!r}")
+    for entry in entries:
         path = root / entry["checkpoint"]
         if path not in payloads:
-            payloads[path] = read_json(path)
-        module = attribute_module_from_dict(payloads[path], binding)
+            payloads[path] = read_json(path, "module checkpoint")
+        module = attribute_module_from_dict(payloads[path], entry.get("entity_binding", 0))
         if "weight" in entry:
             module.weight = float(entry["weight"])
         modules.append(module)

@@ -131,7 +131,7 @@ class DenseNet:
             sizes = [int(n) for n in d["layer_sizes"]]
             weights = [np.array(w, dtype=np.float64) for w in d["weights"]]
             biases = [np.array(b, dtype=np.float64) for b in d["biases"]]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise TaskConfigError(f"checkpoint holds a non-numeric layer: {exc}") from None
         net = cls(sizes, weights, biases)
         want = [((fi, fo), (fo,)) for fi, fo in zip(sizes[:-1], sizes[1:])]

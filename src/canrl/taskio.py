@@ -1,5 +1,7 @@
 """Task files: JSON in, validated Task + CurriculumConfig out.  The stock
-tasks are the files in the repository's tasks/ directory."""
+tasks are the files in the repository's tasks/ directory.  Also the one
+reader of every input file (`read_json`) and the field check
+(`check_fields`) that checkpoints and cascade descriptors use as well."""
 
 from __future__ import annotations
 
@@ -10,53 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .attributes import ATTRIBUTE_KINDS, AddonSetup, Nominal, Task, build_task
+from .attributes import AddonSetup, Nominal, Task, build_task
 from .curriculum import CurriculumConfig
 from .dynamics import SimConfig
 from .errors import TaskConfigError
-
-# the JSON type of each section of a task file; no other keys are allowed
-_SECTIONS = {"sim": dict, "nominal": dict, "addons": list, "curriculum": dict}
-_TASK_KEYS = {"robot", "name", *_SECTIONS}
-
-_SIM_KEYS = {
-    "dt", "horizon", "mass", "damping", "force_limit", "torque_limit",
-    "joint_inertia", "link_lengths", "target_radius", "workspace",
-    "robot_radius", "link_radius",
-}
-
-_NOMINAL_KEYS = {"point": {"target", "position"}, "arm": {"target", "base_x", "joint_angles"}}
-
-_ADDON_REQUIRED = {
-    "obstacle": {"center", "radius", "speed", "heading"},
-    "door": {"x", "y_lo", "y_hi", "period", "open_fraction"},
-    "speed": {"times", "limits"},
-    "force": {"magnitude", "heading"},
-}
-_ADDON_OPTIONAL = {"speed": {"coeff"}}
-
-# checked at parse time so a bad file fails here and not mid-episode: the
-# add-on parameters that are lists of finite numbers (every other one is a
-# finite number), and what each add-on's parameters must satisfy
-_ADDON_LISTS = {"center", "times", "limits"}
-_ADDON_RULES = {
-    "obstacle": (
-        ("radius > 0", lambda p: p["radius"] > 0),
-        ("a planar center", lambda p: len(p["center"]) == 2),
-    ),
-    "door": (
-        ("period > 0", lambda p: p["period"] > 0),
-        ("0 <= open_fraction <= 1", lambda p: 0 <= p["open_fraction"] <= 1),
-        ("y_lo < y_hi", lambda p: p["y_lo"] < p["y_hi"]),
-    ),
-    "speed": (
-        ("as many times as limits, at least one",
-         lambda p: 0 < len(p["times"]) == len(p["limits"])),
-        ("strictly increasing times",
-         lambda p: all(a < b for a, b in zip(p["times"], p["times"][1:]))),
-    ),
-    "force": (),
-}
 
 
 @dataclass
@@ -72,14 +31,6 @@ def point_sim_config(**overrides) -> SimConfig:
 
 def arm_sim_config(**overrides) -> SimConfig:
     return SimConfig(**{"horizon": 300, "target_radius": 0.1, **overrides})
-
-
-# each must be a finite number > 0 (damping >= 0); an arm also needs four
-# link lengths > 0
-_POSITIVE_SIM_KEYS = (
-    "dt", "mass", "joint_inertia", "workspace", "force_limit", "torque_limit",
-    "target_radius", "robot_radius", "link_radius",
-)
 
 
 def _finite(v) -> bool:
@@ -106,81 +57,153 @@ def _positive(v) -> bool:
     return _finite(v) and v > 0
 
 
+def _numbers(n: int) -> tuple:
+    return (lambda v: _finite_list(v) and len(v) == n, f"a list of {n} finite numbers")
+
+
+def _is(value) -> tuple:
+    return (lambda v: v == value, repr(value))
+
+
+# (holds, what) rules that the field tables of task files, checkpoints and
+# cascade descriptors share
+_OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
+_NUMBER = (_finite, "a finite number")
+_ROBOT = (lambda v: v in ("point", "arm"), "'point' or 'arm'")
+_ADDON_KINDS = ("obstacle", "door", "speed", "force")
+_ADDON_KIND = (lambda v: v in _ADDON_KINDS, f"one of {_ADDON_KINDS}")
+
+
+def check_fields(d: dict, rules: dict, where: str = "", required=(), unknown=None) -> None:
+    """Check `d` against a `{key: (holds, what)}` table: the first value
+    that fails raises `TaskConfigError` "{where}{key} must be {what}, got
+    {value!r}".  A key in `required` must be present; any other is checked
+    only when it is.  Given `unknown`, a message prefix, `d` may hold no
+    key that `rules` lacks."""
+    extra = set(d) - set(rules)
+    if unknown is not None and extra:
+        raise TaskConfigError(f"{unknown}{sorted(extra)}")
+    for key, (holds, what) in rules.items():
+        if key in d:
+            if not holds(d[key]):
+                raise TaskConfigError(f"{where}{key} must be {what}, got {d[key]!r}")
+        elif key in required:
+            raise TaskConfigError(f"{where}{key} must be {what}, got nothing")
+
+
+def read_json(path: str | Path, what: str = "file") -> dict:
+    """The JSON object in an input file (a task file, a checkpoint or a
+    cascade descriptor; `what` names it in errors).  A missing file raises
+    `FileNotFoundError`; a file that cannot be read, is not UTF-8, is not
+    JSON or holds no object raises `TaskConfigError`."""
+    path = Path(path)
+    try:
+        d = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{what} not found: {path}") from None
+    except (OSError, ValueError, RecursionError) as exc:  # a directory, not UTF-8, not JSON
+        raise TaskConfigError(f"cannot read {what} {path}: {exc}") from None
+    if not isinstance(d, dict):
+        raise TaskConfigError(f"{what} {path} must hold a JSON object")
+    return d
+
+
+# what each top-level value of a task file must be; no other keys are allowed
+_TASK_RULES = {"robot": _ROBOT, "name": (lambda v: isinstance(v, str), "a string"),
+               "sim": _OBJECT, "nominal": _OBJECT,
+               "addons": (lambda v: isinstance(v, list), "a JSON array"), "curriculum": _OBJECT}
+
+# what each sim value must be; a task file may leave any of them out
+_SIM_RULES = {
+    "horizon": (_count, "an integer >= 1"),
+    **dict.fromkeys(
+        ("dt", "mass", "joint_inertia", "workspace", "force_limit", "torque_limit",
+         "target_radius", "robot_radius", "link_radius"),
+        (_positive, "a finite number > 0"),
+    ),
+    "damping": (lambda v: _finite(v) and v >= 0, "a finite number >= 0"),
+    "link_lengths": (lambda v: isinstance(v, list) and len(v) == 4 and all(map(_positive, v)),
+                     "four numbers > 0"),
+}
+
+_NOMINAL_RULES = {
+    "point": {"target": _numbers(2), "position": _numbers(2)},
+    "arm": {"target": _numbers(2), "base_x": _NUMBER, "joint_angles": _numbers(4)},
+}
+
+# what each add-on parameter must be (all but a speed limit's coeff are
+# required), then what the parameters together must satisfy, given the step
+# length (a door schedule holds one interval per period); checked at parse
+# time so a bad file fails here and not mid-episode
+_FINITE_LIST = (_finite_list, "a list of finite numbers")
+_ADDON_PARAMS = {
+    "obstacle": {"center": _FINITE_LIST, **dict.fromkeys(("radius", "speed", "heading"), _NUMBER)},
+    "door": dict.fromkeys(("x", "y_lo", "y_hi", "period", "open_fraction"), _NUMBER),
+    "speed": {"times": _FINITE_LIST, "limits": _FINITE_LIST, "coeff": _NUMBER},
+    "force": dict.fromkeys(("magnitude", "heading"), _NUMBER),
+}
+_ADDON_RULES = {
+    "obstacle": (
+        ("radius > 0", lambda p, dt: p["radius"] > 0),
+        ("a planar center", lambda p, dt: len(p["center"]) == 2),
+    ),
+    "door": (
+        ("period >= sim.dt", lambda p, dt: p["period"] >= dt),
+        ("0 <= open_fraction <= 1", lambda p, dt: 0 <= p["open_fraction"] <= 1),
+        ("y_lo < y_hi", lambda p, dt: p["y_lo"] < p["y_hi"]),
+    ),
+    "speed": (
+        ("as many times as limits, at least one",
+         lambda p, dt: 0 < len(p["times"]) == len(p["limits"])),
+        ("strictly increasing times",
+         lambda p, dt: all(a < b for a, b in zip(p["times"], p["times"][1:]))),
+    ),
+    "force": (),
+}
+
+
 def _parse_sim(robot: str, spec: dict) -> SimConfig:
-    unknown = set(spec) - _SIM_KEYS
-    if unknown:
-        raise TaskConfigError(f"unknown sim keys: {sorted(unknown)}")
+    check_fields(spec, _SIM_RULES, "sim.", unknown="unknown sim keys: ")
     if "link_lengths" in spec:
-        if not isinstance(spec["link_lengths"], list):
-            raise TaskConfigError("sim.link_lengths must be a list")
         spec = dict(spec, link_lengths=tuple(spec["link_lengths"]))
     cfg = (point_sim_config if robot == "point" else arm_sim_config)(**spec)
-    if not _count(cfg.horizon):
-        raise TaskConfigError(f"sim.horizon must be an integer >= 1, got {cfg.horizon!r}")
-    for key in _POSITIVE_SIM_KEYS:
-        if not _positive(getattr(cfg, key)):
-            raise TaskConfigError(
-                f"sim.{key} must be a finite number > 0, got {getattr(cfg, key)!r}"
-            )
-    if not (_finite(cfg.damping) and cfg.damping >= 0):
-        raise TaskConfigError(f"sim.damping must be a finite number >= 0, got {cfg.damping!r}")
-    if robot == "arm" and not (
-        len(cfg.link_lengths) == 4 and all(map(_positive, cfg.link_lengths))
-    ):
+    # each explicit Euler step scales a velocity by 1 - damping * dt, which
+    # must not reverse it (below -1 it grows without bound)
+    if cfg.damping * cfg.dt > 1:
         raise TaskConfigError(
-            f"sim.link_lengths must be four numbers > 0, got {list(cfg.link_lengths)!r}"
+            f"sim.damping * sim.dt must be <= 1, got {cfg.damping!r} * {cfg.dt!r}"
         )
     return cfg
 
 
-def _coords(spec: dict, key: str, n: int, default=None) -> np.ndarray:
-    value = spec.get(key, default)
-    if not (_finite_list(value) and len(value) == n):
-        raise TaskConfigError(f"nominal {key} must be a list of {n} finite numbers, got {value!r}")
-    return np.asarray(value, dtype=float)
-
-
 def _parse_nominal(robot: str, spec: dict) -> Nominal:
-    unknown = set(spec) - _NOMINAL_KEYS[robot]
-    if unknown:
-        raise TaskConfigError(f"unknown nominal keys for the {robot} robot: {sorted(unknown)}")
-    target = _coords(spec, "target", 2)
+    check_fields(spec, _NOMINAL_RULES[robot], "nominal ", required=("target", "position"),
+                 unknown=f"unknown nominal keys for the {robot} robot: ")
+    target = np.asarray(spec["target"], dtype=float)
     if robot == "point":
-        return Nominal(target=target, position=_coords(spec, "position", 2))
-    base_x = spec.get("base_x", 0.0)
-    if not _finite(base_x):
-        raise TaskConfigError(f"nominal base_x must be a finite number, got {base_x!r}")
-    angles = _coords(spec, "joint_angles", 4, [0.0] * 4)
-    return Nominal(target=target, base_x=float(base_x), joint_angles=angles)
+        return Nominal(target=target, position=np.asarray(spec["position"], dtype=float))
+    angles = np.asarray(spec.get("joint_angles", [0.0] * 4), dtype=float)
+    return Nominal(target=target, base_x=float(spec.get("base_x", 0.0)), joint_angles=angles)
 
 
-def _parse_addons(spec: list) -> list[AddonSetup]:
+def _parse_addons(spec: list, dt: float) -> list[AddonSetup]:
     out = []
     for i, item in enumerate(spec):
         if not isinstance(item, dict) or "type" not in item:
             raise TaskConfigError(f"addon {i} needs a type")
         kind = item["type"]
-        if kind not in ATTRIBUTE_KINDS or kind == "reach":
+        if kind not in _ADDON_KINDS:
             raise TaskConfigError(f"addon {i}: unknown type {kind!r}")
+        where = f"addon {i} ({kind}): "
         params = item.get("params", {})
         if not isinstance(params, dict):
-            raise TaskConfigError(f"addon {i} ({kind}): params must be a JSON object")
-        unknown = set(params) - _ADDON_REQUIRED[kind] - _ADDON_OPTIONAL.get(kind, set())
-        if unknown:
-            raise TaskConfigError(f"addon {i} ({kind}): unknown params {sorted(unknown)}")
-        for key, v in params.items():
-            if not (_finite_list if key in _ADDON_LISTS else _finite)(v):
-                raise TaskConfigError(f"addon {i} ({kind}): {key} must be finite, got {v!r}")
-        missing = _ADDON_REQUIRED[kind] - set(params)
-        if missing:
-            raise TaskConfigError(f"addon {i} ({kind}): missing {sorted(missing)}")
+            raise TaskConfigError(f"{where}params must be a JSON object")
+        rules = _ADDON_PARAMS[kind]
+        check_fields(params, rules, where, required=set(rules) - {"coeff"},
+                     unknown=f"{where}unknown params ")
         for rule, holds in _ADDON_RULES[kind]:
-            try:
-                ok = bool(holds(params))
-            except TypeError:
-                ok = False
-            if not ok:
-                raise TaskConfigError(f"addon {i} ({kind}): needs {rule}")
+            if not holds(params, dt):
+                raise TaskConfigError(f"{where}needs {rule}")
         out.append(AddonSetup(kind, dict(params)))
     return out
 
@@ -189,14 +212,12 @@ def _parse_addons(spec: list) -> list[AddonSetup]:
 _CURRICULUM_RULES = {
     **dict.fromkeys(("queue_capacity", "min_entries"), (_count, "an integer >= 1")),
     **dict.fromkeys(("initial_level", "growth", "lambda", "threshold", "terminal_level"),
-                    (_finite, "a finite number")),
+                    _NUMBER),
 }
 
 
 def _parse_curriculum(spec: dict) -> CurriculumConfig:
-    for key, (holds, what) in _CURRICULUM_RULES.items():
-        if key in spec and not holds(spec[key]):
-            raise TaskConfigError(f"curriculum.{key} must be {what}, got {spec[key]!r}")
+    check_fields(spec, _CURRICULUM_RULES, "curriculum.")
     kw = dict(spec)
     if "lambda" in kw:
         kw["growth"] = kw.pop("lambda")
@@ -207,36 +228,18 @@ def _parse_curriculum(spec: dict) -> CurriculumConfig:
 
 
 def parse_task(raw: dict) -> LoadedTask:
-    if not isinstance(raw, dict):
-        raise TaskConfigError("task file must hold a JSON object")
-    unknown = set(raw) - _TASK_KEYS
-    if unknown:
-        raise TaskConfigError(f"unknown task keys: {sorted(unknown)}")
-    robot = raw.get("robot")
-    if robot not in ("point", "arm"):
-        raise TaskConfigError(f"robot must be 'point' or 'arm', got {robot!r}")
-    for key, kind in _SECTIONS.items():
-        if not isinstance(raw.get(key, kind()), kind):
-            raise TaskConfigError(f"{key} must be a JSON {'object' if kind is dict else 'array'}")
+    check_fields(raw, _TASK_RULES, required=("robot",), unknown="unknown task keys: ")
+    robot = raw["robot"]
     cfg = _parse_sim(robot, raw.get("sim", {}))
     nominal = _parse_nominal(robot, raw.get("nominal", {}))
-    addons = _parse_addons(raw.get("addons", []))
+    addons = _parse_addons(raw.get("addons", []), cfg.dt)
     curriculum = _parse_curriculum(raw.get("curriculum", {}))
     task = build_task(robot, cfg, nominal, addons)
     return LoadedTask(task, curriculum, raw)
 
 
-def _read_task_file(path: Path):
-    try:
-        return json.loads(path.read_text())
-    except FileNotFoundError:
-        raise FileNotFoundError(f"task file not found: {path}") from None
-    except (OSError, ValueError) as exc:  # a directory, not UTF-8, not JSON
-        raise TaskConfigError(f"cannot read task file {path}: {exc}") from None
-
-
 def load_task(path: str | Path) -> LoadedTask:
-    return parse_task(_read_task_file(Path(path)))
+    return parse_task(read_json(path, "task file"))
 
 
 # The stock tasks are the files in tasks/ at the repository root, which an
@@ -250,4 +253,4 @@ def load_stock_task(name: str) -> LoadedTask:
     `load_task`, so a traced run records one load span per task."""
     if name not in STOCK_TASK_NAMES:
         raise KeyError(f"no stock task named {name!r} in {TASKS_DIR}")
-    return parse_task(_read_task_file(TASKS_DIR / f"{name}.json"))
+    return parse_task(read_json(TASKS_DIR / f"{name}.json", "task file"))

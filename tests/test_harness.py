@@ -1,13 +1,25 @@
 """File formats, evaluation, assembly, and the CLI surface."""
 
+import dataclasses
+import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from canrl import cli, harness
 from canrl.attributes import obstacle_clearance, run_episodes
-from canrl.cascade import AttributeModule, BaseModule, make_cascade
+from canrl.cascade import (
+    AttributeModule,
+    BaseModule,
+    attribute_module_to_dict,
+    base_module_to_dict,
+    make_cascade,
+)
 from canrl.harness import (
     CLEARANCE_FACTOR,
     EVAL_BLOCK,
@@ -28,7 +40,7 @@ from canrl.harness import (
 from canrl.errors import TaskConfigError
 from canrl.nets import DenseNet, GaussianPolicy
 from canrl.ppo import EVAL_STREAM, episode_rng
-from canrl.taskio import load_stock_task
+from canrl.taskio import load_stock_task, point_sim_config
 
 
 def servo(worlds, rngs):
@@ -343,7 +355,7 @@ class TestCascadeDescriptors:
         )
         read = []
         monkeypatch.setattr(harness, "read_json",
-                            lambda path, f=harness.read_json: read.append(path) or f(path))
+                            lambda path, what, f=harness.read_json: read.append(path) or f(path, what))
         task = load_stock_task("point_two_obstacles").task
         first, second = load_cascade(tmp_path / "stack.json", task).modules
         assert sorted(p.name for p in read) == ["b.json", "m.json", "stack.json"]
@@ -386,6 +398,13 @@ class TestCascadeDescriptors:
 
 
 TINY = ["--budget", "2", "--quiet"]
+
+
+# which input file is bad (its name in errors), and what it holds
+UNREADABLE_FILES = {"task": "task file", "base": "base checkpoint",
+                    "descriptor": "cascade descriptor", "module": "module checkpoint"}
+UNREADABLE_CONTENTS = {"not_utf8": b"\xff\xfe{}", "not_json": b'{"robot": "point",',
+                       "directory": None, "not_object": b"[1, 2]"}
 
 
 class TestCli:
@@ -614,8 +633,9 @@ class TestCli:
         ("point_speed", {"times": [0.0, 6.0, 3.0, 10.0]}),
         ("point_speed", {"times": [0.0, 3.0, 6.0]}),
         ("point_obstacle", {"radius": 0.0}),
+        ("point_door", {"period": 0.01}),
     ], ids=["door_period", "door_open_fraction", "door_span", "speed_times_order",
-            "speed_times_length", "obstacle_radius"])
+            "speed_times_length", "obstacle_radius", "door_period_below_dt"])
     def test_eval_bad_addon_exits_2(self, tmp_path, task, change):
         d = load_stock_task(task).raw
         d["addons"][0]["params"].update(change)
@@ -641,10 +661,12 @@ class TestCli:
         ("arm_reach", {"link_lengths": [0.5, 0.5]}),
         ("arm_reach", {"link_lengths": [0.25, 0.25, 0.0, 0.25]}),
         ("arm_reach", {"joint_inertia": float("nan")}),
+        ("arm_reach", {"damping": 1e300}),
+        ("arm_reach", {"dt": 1e200}),
     ], ids=["horizon_zero", "horizon_fraction", "dt_string", "mass_zero", "workspace_negative",
             "force_limit_inf", "robot_radius_bool", "damping_string", "damping_negative",
             "target_radius_huge_int", "arm_two_links", "arm_zero_link",
-            "arm_inertia_nan"])
+            "arm_inertia_nan", "arm_damping_huge", "arm_dt_huge"])
     def test_eval_bad_sim_exits_2(self, tmp_path, capsys, task, change):
         d = load_stock_task(task).raw
         d["sim"] = change
@@ -660,6 +682,22 @@ class TestCli:
         )
         assert rc == 2
         assert f"sim.{next(iter(change))}" in capsys.readouterr().err
+
+    def test_eval_diverging_sim_exits_2(self, tmp_path, capsys):
+        # undamped, so the load checks pass; the first step's joint rates
+        # times a step this long overflow the angles
+        d = load_stock_task("arm_reach").raw
+        d["sim"] = {"dt": 1e200, "damping": 0.0}
+        (tmp_path / "task.json").write_text(json.dumps(d))
+        rng = np.random.default_rng(0)
+        save_base(tmp_path / "b.json", BaseModule(
+            "arm", GaussianPolicy.create(12, 5, rng), DenseNet.create([12, 8, 1], rng), frozen=True
+        ))
+        rc = cli.main(["eval", "--task", str(tmp_path / "task.json"),
+                       "--base", str(tmp_path / "b.json"), "--episodes", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "error: arm state diverged\n"
 
     @pytest.mark.parametrize("task, edit, message", [
         ("point_reach", lambda d: d["nominal"].update(target=["a", 0]), "nominal target"),
@@ -735,18 +773,57 @@ class TestCli:
         assert f"curriculum.{key} must be {message}" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"robot": "point",', None],
-                             ids=["not_utf8", "not_json", "directory"])
-    def test_eval_unreadable_task_exits_2(self, tmp_path, capsys, content):
-        path = tmp_path / "task.json"
+    @pytest.mark.parametrize("which, content", [
+        pytest.param(which, content, id=name if which == "task" else f"{which}_{name}")
+        for which in UNREADABLE_FILES for name, content in UNREADABLE_CONTENTS.items()
+    ])
+    def test_eval_unreadable_task_exits_2(self, tmp_path, capsys, which, content):
+        files = {"task": tmp_path / "task.json", "base": tmp_path / "b.json",
+                 "descriptor": tmp_path / "stack.json", "module": tmp_path / "m.json"}
+        files["task"].write_text(json.dumps(load_stock_task("point_obstacle").raw))
+        save_base(files["base"], pinned_base())
+        save_module(files["module"], pinned_module())
+        write_cascade_descriptor(files["descriptor"], "b.json", [{"checkpoint": "m.json"}])
+        path = files[which]
+        path.unlink()
         if content is None:
             path.mkdir()
         else:
             path.write_bytes(content)
-        save_base(tmp_path / "b.json", pinned_base())
-        rc = cli.main(["eval", "--task", str(path), "--base", str(tmp_path / "b.json")])
+        stack = (["--base", str(files["base"])] if which in ("task", "base")
+                 else ["--descriptor", str(files["descriptor"])])
+        rc = cli.main(["eval", "--task", str(files["task"]), *stack, "--episodes", "1"])
+        err = capsys.readouterr().err
         assert rc == 2
-        assert "cannot read task file" in capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        kind = UNREADABLE_FILES[which]
+        if content == b"[1, 2]":
+            assert f"{kind} {path} must hold a JSON object" in err
+        else:
+            assert f"cannot read {kind} {path}" in err
+
+    @pytest.mark.parametrize("which, key, value", [
+        ("base", "policy", ...), ("base", "value", ...), ("base", "policy", [1, 2]),
+        ("base", "robot", "wheel"), ("base", "kind", "attribute_module"),
+        ("module", "policy", ...), ("module", "attribute", "reach"), ("module", "robot", None),
+    ], ids=["base_no_policy", "base_no_value", "base_policy_list", "base_robot_unknown",
+            "base_kind_module", "module_no_policy", "module_attribute_reach", "module_robot_null"])
+    def test_eval_checkpoint_bad_field_exits_2(self, tmp_path, capsys, which, key, value):
+        save_base(tmp_path / "b.json", pinned_base())
+        save_module(tmp_path / "m.json", pinned_module())
+        write_cascade_descriptor(tmp_path / "stack.json", "b.json", [{"checkpoint": "m.json"}])
+        path = tmp_path / ("b.json" if which == "base" else "m.json")
+        d = read_json(path)
+        if value is ...:
+            del d[key]
+        else:
+            d[key] = value
+        path.write_text(json.dumps(d))
+        rc = cli.main(["eval", "--task", "point_obstacle", "--descriptor",
+                       str(tmp_path / "stack.json"), "--episodes", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{which} checkpoint {key} must be" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["eval", "train-base"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):
@@ -785,6 +862,23 @@ class TestCli:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("task, kind", [("point_reach", "door"), ("point_door", "speed")])
+    def test_assemble_rejects_module_for_absent_addon(self, tmp_path, capsys, task, kind):
+        # a module whose widths fit its kind, so only the kind check rejects it
+        module = pinned_module(kind=kind)
+        if kind == "speed":  # robot state (4) + speed limit (1) + action (2)
+            rng = np.random.default_rng(1)
+            module.comp_policy = GaussianPolicy.create(7, 2, rng)
+        save_base(tmp_path / "b.json", pinned_base())
+        save_module(tmp_path / "m.json", module)
+        out = tmp_path / "s.json"
+        rc = cli.main(["assemble", "--base", str(tmp_path / "b.json"), "--module",
+                       str(tmp_path / "m.json"), "--out", str(out), "--task", task])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"module 0 compensates for {kind!r}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_compare_writes_summary(self, tmp_path):
         base = tmp_path / "base.json"
         assert cli.main(
@@ -801,3 +895,90 @@ class TestCli:
         for arm in summary["arms"].values():
             assert arm["iterations_run"] == 2
             assert (out / "can.train.csv").exists()
+
+
+# The four input files of a stack evaluation, as plain JSON: a stock task
+# with its default sim values spelled out, a base and a module checkpoint as
+# `save_base`/`save_module` write them, and a descriptor binding them.  At
+# level 0 the base drives straight from the nominal start to the target.
+PRISTINE_INPUTS = json.loads(json.dumps({
+    "task.json": {**load_stock_task("point_obstacle").raw,
+                  "sim": dataclasses.asdict(point_sim_config())},
+    "b.json": base_module_to_dict(pinned_base(out=(1.0, 0.6875))),
+    "m.json": attribute_module_to_dict(pinned_module(out=(0.0, 0.0))),
+    "stack.json": {"kind": "cascade", "base_checkpoint": "b.json",
+                   "modules": [{"checkpoint": "m.json", "entity_binding": 0, "weight": 1.0}]},
+}))
+DELETE = "<delete>"
+# values that are wrong in kind or in size, none so large that trying it
+# could hang or allocate without bound
+REPLACEMENTS = [DELETE, None, True, "x", [], {}, -1, 0, 0.01, 2.5, 1e300,
+                float("nan"), float("inf")]
+
+
+def _field_shapes(node, path=()):
+    """Every key path in a JSON document, with None for any list index."""
+    for key in node if isinstance(node, dict) else range(len(node)):
+        shape = (*path, key if isinstance(node, dict) else None)
+        yield shape
+        if isinstance(node[key], (dict, list)) and node[key]:
+            yield from _field_shapes(node[key], shape)
+
+
+# (file, key path) of every field of every input file; list elements share
+# one shape, since each list in these files holds elements of one structure
+FIELD_SHAPES = [(name, shape) for name, doc in PRISTINE_INPUTS.items()
+                for shape in dict.fromkeys(_field_shapes(doc))]
+
+
+@st.composite
+def one_field_mutation(draw):
+    """(file, path, value): one key or list element of one input file, at
+    any depth, and its replacement (or DELETE)."""
+    name, shape = draw(st.sampled_from(FIELD_SHAPES))
+    node, path = PRISTINE_INPUTS[name], []
+    for key in shape:
+        if key is None:
+            key = draw(st.integers(0, len(node) - 1))
+        path.append(key)
+        node = node[key]
+    return name, tuple(path), draw(st.sampled_from(REPLACEMENTS))
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [n for v in value for n in _numbers(v)]
+    return [value] if isinstance(value, (int, float)) else []
+
+
+class TestOneFieldMutations:
+    """Any one-field change to any input file of `can eval` ends in a
+    report of finite numbers (exit 0) or one error line (exit 2)."""
+
+    @given(one_field_mutation())
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_eval_exits_0_with_finite_report_or_2(self, tmp_path, mutation):
+        name, path, value = mutation
+        doc = json.loads(json.dumps(PRISTINE_INPUTS[name]))
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        if value == DELETE:
+            del node[last]
+        else:
+            node[last] = value
+        for file, pristine in PRISTINE_INPUTS.items():
+            (tmp_path / file).write_text(json.dumps(doc if file == name else pristine))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = cli.main(["eval", "--task", str(tmp_path / "task.json"), "--descriptor",
+                           str(tmp_path / "stack.json"), "--episodes", "1", "--level", "0"])
+        if rc == 0:
+            assert all(map(math.isfinite, _numbers(json.loads(out.getvalue()))))
+        else:
+            assert rc == 2
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
