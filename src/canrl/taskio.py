@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attributes import AddonSetup, Nominal, Task, build_task
+from .attributes import ATTRIBUTE_KINDS, AddonSetup, Nominal, Task, build_task
 from .curriculum import CurriculumConfig
 from .dynamics import SimConfig
 from .errors import TaskConfigError
@@ -70,7 +70,7 @@ def _is(value) -> tuple:
 _OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
 _NUMBER = (_finite, "a finite number")
 _ROBOT = (lambda v: v in ("point", "arm"), "'point' or 'arm'")
-_ADDON_KINDS = ("obstacle", "door", "speed", "force")
+_ADDON_KINDS = tuple(k for k in ATTRIBUTE_KINDS if k != "reach")
 _ADDON_KIND = (lambda v: v in _ADDON_KINDS, f"one of {_ADDON_KINDS}")
 
 

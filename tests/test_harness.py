@@ -404,7 +404,7 @@ TINY = ["--budget", "2", "--quiet"]
 UNREADABLE_FILES = {"task": "task file", "base": "base checkpoint",
                     "descriptor": "cascade descriptor", "module": "module checkpoint"}
 UNREADABLE_CONTENTS = {"not_utf8": b"\xff\xfe{}", "not_json": b'{"robot": "point",',
-                       "directory": None, "not_object": b"[1, 2]"}
+                       "directory": None, "not_object": b"[1, 2]", "too_deep": b"[" * 100_000}
 
 
 class TestCli:
