@@ -20,7 +20,7 @@ from .attributes import AttributeSpec, make_attribute, robot_columns
 from .dynamics import SimConfig, WorldState, action_dim, action_limits
 from .errors import TaskConfigError
 from .nets import DenseNet, GaussianPolicy
-from .taskio import _ADDON_KIND, _NUMBER, _OBJECT, _ROBOT, _is, check_fields
+from .taskio import _ADDON_KIND, _ARRAY, _NUMBER, _OBJECT, _ROBOT, _is, check_fields
 
 DEFAULT_PENALTY_COEFF = 0.01
 INITIAL_MODULE_WEIGHT = 0.1
@@ -199,14 +199,23 @@ def base_module_to_dict(base: BaseModule) -> dict:
     }
 
 
-# what each field of a checkpoint must be; every one is required
+# what each field of a checkpoint, and of its policy and value nets, must
+# be; every one is required (the nets check their numbers and shapes)
 _BASE_RULES = {"kind": _is("base"), "robot": _ROBOT, "policy": _OBJECT, "value": _OBJECT}
 _MODULE_RULES = {**_BASE_RULES, "kind": _is("attribute_module"), "attribute": _ADDON_KIND,
                  "weight": _NUMBER, "penalty_coeff": _NUMBER}
+_VALUE_RULES = dict.fromkeys(("layer_sizes", "weights", "biases"), _ARRAY)
+_POLICY_RULES = {**_VALUE_RULES, "log_std": _ARRAY}
+
+
+def _check_checkpoint(d: dict, rules: dict, where: str) -> None:
+    check_fields(d, rules, where, required=rules)
+    check_fields(d["policy"], _POLICY_RULES, f"{where}policy.", required=_POLICY_RULES)
+    check_fields(d["value"], _VALUE_RULES, f"{where}value.", required=_VALUE_RULES)
 
 
 def base_module_from_dict(d: dict) -> BaseModule:
-    check_fields(d, _BASE_RULES, "base checkpoint ", required=_BASE_RULES)
+    _check_checkpoint(d, _BASE_RULES, "base checkpoint ")
     return BaseModule(
         robot=d["robot"],
         policy=GaussianPolicy.from_dict(d["policy"]),
@@ -228,7 +237,7 @@ def attribute_module_to_dict(module: AttributeModule) -> dict:
 
 
 def attribute_module_from_dict(d: dict, entity_index: int = 0) -> AttributeModule:
-    check_fields(d, _MODULE_RULES, "module checkpoint ", required=_MODULE_RULES)
+    _check_checkpoint(d, _MODULE_RULES, "module checkpoint ")
     return AttributeModule(
         robot=d["robot"],
         kind=d["attribute"],

@@ -257,8 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         _emit(f"diverged: {exc}")
         return 1
-    except (FileNotFoundError, KeyError, TaskConfigError, InfeasibleTaskError,
-            SimulationFault) as exc:
+    except (FileNotFoundError, TaskConfigError, InfeasibleTaskError, SimulationFault) as exc:
         _emit(f"error: {exc}")
         return 2
 

@@ -68,6 +68,7 @@ def _is(value) -> tuple:
 # (holds, what) rules that the field tables of task files, checkpoints and
 # cascade descriptors share
 _OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
+_ARRAY = (lambda v: isinstance(v, list), "a JSON array")
 _NUMBER = (_finite, "a finite number")
 _ROBOT = (lambda v: v in ("point", "arm"), "'point' or 'arm'")
 _ADDON_KINDS = tuple(k for k in ATTRIBUTE_KINDS if k != "reach")
@@ -111,7 +112,7 @@ def read_json(path: str | Path, what: str = "file") -> dict:
 # what each top-level value of a task file must be; no other keys are allowed
 _TASK_RULES = {"robot": _ROBOT, "name": (lambda v: isinstance(v, str), "a string"),
                "sim": _OBJECT, "nominal": _OBJECT,
-               "addons": (lambda v: isinstance(v, list), "a JSON array"), "curriculum": _OBJECT}
+               "addons": _ARRAY, "curriculum": _OBJECT}
 
 # what each sim value must be; a task file may leave any of them out
 _SIM_RULES = {
@@ -176,9 +177,17 @@ def _parse_sim(robot: str, spec: dict) -> SimConfig:
     return cfg
 
 
-def _parse_nominal(robot: str, spec: dict) -> Nominal:
+def _parse_nominal(robot: str, spec: dict, workspace: float) -> Nominal:
     check_fields(spec, _NOMINAL_RULES[robot], "nominal ", required=("target", "position"),
                  unknown=f"unknown nominal keys for the {robot} robot: ")
+    # the robot is clamped to the arena, so a start or target outside it
+    # could never be left or reached
+    for key in ("target", "position", "base_x"):
+        value = spec.get(key, 0.0)
+        if max(map(abs, value if isinstance(value, list) else [value])) > workspace:
+            raise TaskConfigError(
+                f"nominal {key} must lie within sim.workspace {workspace!r}, got {value!r}"
+            )
     target = np.asarray(spec["target"], dtype=float)
     if robot == "point":
         return Nominal(target=target, position=np.asarray(spec["position"], dtype=float))
@@ -231,7 +240,7 @@ def parse_task(raw: dict) -> LoadedTask:
     check_fields(raw, _TASK_RULES, required=("robot",), unknown="unknown task keys: ")
     robot = raw["robot"]
     cfg = _parse_sim(robot, raw.get("sim", {}))
-    nominal = _parse_nominal(robot, raw.get("nominal", {}))
+    nominal = _parse_nominal(robot, raw.get("nominal", {}), cfg.workspace)
     addons = _parse_addons(raw.get("addons", []), cfg.dt)
     curriculum = _parse_curriculum(raw.get("curriculum", {}))
     task = build_task(robot, cfg, nominal, addons)

@@ -729,11 +729,21 @@ class TestCli:
          "unknown params ['coef']"),
         ("point_obstacle", lambda d: d["addons"][0]["params"].update(coeff=5.0),
          "unknown params ['coeff']"),
+        ("point_reach", lambda d: d["nominal"].update(target=[1e300, 0]),
+         "nominal target must lie within sim.workspace"),
+        ("point_reach", lambda d: d["nominal"].update(position=[-1.5, 0]),
+         "nominal position must lie within sim.workspace"),
+        ("arm_reach", lambda d: d["nominal"].update(base_x=2.0),
+         "nominal base_x must lie within sim.workspace"),
+        ("arm_reach", lambda d: d["nominal"].update(target=[0.45, 5.0]),
+         "nominal target must lie within sim.workspace"),
     ], ids=["target_string", "target_nan", "position_inf", "arm_base_x_string",
             "arm_joint_angle_string", "nominal_list", "curriculum_list", "sim_list",
             "params_list", "force_magnitude_string", "obstacle_center_short",
             "misspelled_addons", "nominal_postion", "point_nominal_base_x",
-            "arm_nominal_basex", "speed_params_coef", "obstacle_params_coeff"])
+            "arm_nominal_basex", "speed_params_coef", "obstacle_params_coeff",
+            "target_outside_arena", "position_outside_arena", "arm_base_x_outside_arena",
+            "arm_target_outside_arena"])
     def test_eval_bad_task_exits_2(self, tmp_path, capsys, task, edit, message):
         d = load_stock_task(task).raw
         edit(d)
@@ -750,6 +760,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert message in err and "Traceback" not in err
+
+    def test_eval_target_inside_wider_arena_loads(self, tmp_path, capsys):
+        d = load_stock_task("point_reach").raw
+        d["sim"] = {"workspace": 2.0}
+        d["nominal"]["target"] = [1.5, 0.0]
+        (tmp_path / "task.json").write_text(json.dumps(d))
+        save_base(tmp_path / "b.json", pinned_base())
+        rc = cli.main(["eval", "--task", str(tmp_path / "task.json"),
+                       "--base", str(tmp_path / "b.json"), "--episodes", "1", "--level", "0"])
+        assert rc == 0, capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, message", [
         ("queue_capacity", "abc", "an integer >= 1"),
@@ -806,18 +826,26 @@ class TestCli:
         ("base", "policy", ...), ("base", "value", ...), ("base", "policy", [1, 2]),
         ("base", "robot", "wheel"), ("base", "kind", "attribute_module"),
         ("module", "policy", ...), ("module", "attribute", "reach"), ("module", "robot", None),
+        ("base", "policy.layer_sizes", ...), ("base", "policy.log_std", ...),
+        ("module", "value.biases", ...), ("module", "policy.weights", {}),
     ], ids=["base_no_policy", "base_no_value", "base_policy_list", "base_robot_unknown",
-            "base_kind_module", "module_no_policy", "module_attribute_reach", "module_robot_null"])
+            "base_kind_module", "module_no_policy", "module_attribute_reach", "module_robot_null",
+            "base_no_policy_layer_sizes", "base_no_policy_log_std", "module_no_value_biases",
+            "module_policy_weights_object"])
     def test_eval_checkpoint_bad_field_exits_2(self, tmp_path, capsys, which, key, value):
         save_base(tmp_path / "b.json", pinned_base())
         save_module(tmp_path / "m.json", pinned_module())
         write_cascade_descriptor(tmp_path / "stack.json", "b.json", [{"checkpoint": "m.json"}])
         path = tmp_path / ("b.json" if which == "base" else "m.json")
         d = read_json(path)
+        *parents, last = key.split(".")
+        node = d
+        for part in parents:
+            node = node[part]
         if value is ...:
-            del d[key]
+            del node[last]
         else:
-            d[key] = value
+            node[last] = value
         path.write_text(json.dumps(d))
         rc = cli.main(["eval", "--task", "point_obstacle", "--descriptor",
                        str(tmp_path / "stack.json"), "--episodes", "1"])
