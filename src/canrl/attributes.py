@@ -220,7 +220,7 @@ def speed_reward(world: WorldState, profile: SpeedLimitProfile) -> float:
 
 @dataclass
 class AttributeSpec:
-    """One attribute: id, minimal state view, reward, and an optional
+    """One attribute: minimal state view, reward, and an optional
     action-space dynamics hook.
 
     `extract(worlds, columns=None)` returns the (E, state_dim) views of a
@@ -230,7 +230,6 @@ class AttributeSpec:
     floats) to the list the dynamics integrate.
     """
 
-    id: int
     kind: str
     state_dim: int
     extract: Callable[..., np.ndarray]
@@ -278,9 +277,7 @@ def _require(worlds: Sequence[WorldState], entity: str, what: str) -> None:
         raise TaskConfigError(f"view needs {what}, world has none")
 
 
-def make_attribute(
-    kind: str, attr_id: int, robot: str, cfg: SimConfig, entity_index: int = 0
-) -> AttributeSpec:
+def make_attribute(kind: str, robot: str, cfg: SimConfig, entity_index: int = 0) -> AttributeSpec:
     """Build the AttributeSpec for one attribute bound to one world entity."""
     if kind not in ATTRIBUTE_KINDS:
         raise TaskConfigError(f"unknown attribute kind {kind!r}")
@@ -295,7 +292,7 @@ def make_attribute(
         def reward(world: WorldState, action: Sequence[float]) -> float:
             return reaching_reward(world, cfg)
 
-        return AttributeSpec(attr_id, kind, dim, extract, reward)
+        return AttributeSpec(kind, dim, extract, reward)
 
     if kind == "obstacle":
         def extract(worlds: Sequence[WorldState], columns=None) -> np.ndarray:
@@ -309,7 +306,7 @@ def make_attribute(
         def reward(world: WorldState, action: Sequence[float]) -> float:
             return obstacle_reward(world, cfg, _get_obstacle(world, entity_index))
 
-        return AttributeSpec(attr_id, kind, dim, extract, reward, entity_index=entity_index)
+        return AttributeSpec(kind, dim, extract, reward, entity_index=entity_index)
 
     if kind == "door":
         def extract(worlds: Sequence[WorldState], columns=None) -> np.ndarray:
@@ -324,7 +321,7 @@ def make_attribute(
                 raise TaskConfigError("reward needs a door, world has none")
             return door_reward(world, cfg, world.door)
 
-        return AttributeSpec(attr_id, kind, dim, extract, reward)
+        return AttributeSpec(kind, dim, extract, reward)
 
     if kind == "speed":
         def extract(worlds: Sequence[WorldState], columns=None) -> np.ndarray:
@@ -338,7 +335,7 @@ def make_attribute(
                 raise TaskConfigError("reward needs a speed profile, world has none")
             return speed_reward(world, world.speed_profile)
 
-        return AttributeSpec(attr_id, kind, dim, extract, reward)
+        return AttributeSpec(kind, dim, extract, reward)
 
     # force
     def extract(worlds: Sequence[WorldState], columns=None) -> np.ndarray:
@@ -359,7 +356,7 @@ def make_attribute(
             push = arm_jacobian(world.robot, cfg).T @ push
         return [a + p for a, p in zip(action, push.tolist())]
 
-    return AttributeSpec(attr_id, kind, dim, extract, reward, dynamics_effect=effect)
+    return AttributeSpec(kind, dim, extract, reward, dynamics_effect=effect)
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +422,14 @@ class Task:
 def build_task(robot: str, cfg: SimConfig, nominal: Nominal, addons: list[AddonSetup]) -> Task:
     if robot not in ("point", "arm"):
         raise TaskConfigError(f"unknown robot {robot!r}")
-    base = make_attribute("reach", 0, robot, cfg)
+    base = make_attribute("reach", robot, cfg)
     specs = []
     n_obstacles = 0
-    for i, setup in enumerate(addons):
+    for setup in addons:
         if setup.kind == "reach":
             raise TaskConfigError("reach is the base attribute, not an add-on")
         idx = n_obstacles if setup.kind == "obstacle" else 0
-        specs.append(make_attribute(setup.kind, i + 1, robot, cfg, entity_index=idx))
+        specs.append(make_attribute(setup.kind, robot, cfg, entity_index=idx))
         if setup.kind == "obstacle":
             n_obstacles += 1
         elif sum(1 for s in addons if s.kind == setup.kind) > 1:

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .attributes import AttributeSpec, make_attribute, robot_columns
-from .dynamics import SimConfig, WorldState, action_dim, action_limits
+from .attributes import AttributeSpec, Task, robot_columns, view_dim
+from .dynamics import WorldState, action_dim
 from .errors import TaskConfigError
 from .nets import DenseNet, GaussianPolicy
 from .taskio import _ADDON_KIND, _ARRAY, _NUMBER, _OBJECT, _ROBOT, _is, check_fields
@@ -55,22 +54,12 @@ class AttributeModule:
 
 @dataclass
 class CascadePolicy:
+    """A stack for one task; module i acts on the task's own spec `module_specs[i]`."""
+
     base: BaseModule
-    base_spec: AttributeSpec
     modules: list[AttributeModule]
     module_specs: list[AttributeSpec]
-    cfg: SimConfig
-
-    @property
-    def robot(self) -> str:
-        return self.base.robot
-
-    @cached_property
-    def limits(self) -> np.ndarray:
-        """Actuator limits, computed once per stack and never written."""
-        lim = action_limits(self.robot, self.cfg)
-        lim.flags.writeable = False
-        return lim
+    task: Task
 
 
 @dataclass
@@ -126,8 +115,9 @@ def cascade_act(
     """
     if explore is not None and rngs is None:
         raise ValueError("an exploring head needs rngs")
-    columns = robot_columns(worlds, cascade.robot, cascade.cfg)
-    base_view = cascade.base_spec.extract(worlds, columns)
+    task = cascade.task
+    columns = robot_columns(worlds, task.robot, task.cfg)
+    base_view = task.base.extract(worlds, columns)
     current, log_prob = _head(cascade.base.policy, base_view, rngs, explore == 0)
     rec = CascadeStepRecord(base_view, current, log_prob=log_prob)
     for i, (module, spec) in enumerate(zip(cascade.modules, cascade.module_specs), 1):
@@ -136,7 +126,7 @@ def cascade_act(
         comp, log_prob = _head(module.comp_policy, comp_in, rngs, explore == i)
         if log_prob is not None:
             rec.log_prob = log_prob
-        current = combine(current, comp, module.weight, cascade.limits)
+        current = combine(current, comp, module.weight, task.limits)
         rec.views.append(view)
         rec.comp_inputs.append(comp_in)
         rec.comp_actions.append(comp)
@@ -154,28 +144,24 @@ def _head(
     return policy.sample(x, rngs) if explores else (policy.mean(x), None)
 
 
-def make_cascade(
-    base: BaseModule, modules: list[AttributeModule], cfg: SimConfig
-) -> CascadePolicy:
-    """Bind modules to entities and sanity-check every interface width."""
+def check_widths(base: BaseModule, modules: list[AttributeModule]) -> None:
+    """Every module drives the base's robot, and every net's input and
+    output widths fit that robot's views and actions."""
     robot = base.robot
     adim = action_dim(robot)
-    base_spec = make_attribute("reach", 0, robot, cfg)
-    if base.policy.state_dim != base_spec.state_dim:
+    want = view_dim("reach", robot)
+    if base.policy.state_dim != want:
         raise TaskConfigError(
-            f"base policy expects view {base.policy.state_dim}, "
-            f"robot {robot!r} has {base_spec.state_dim}"
+            f"base policy expects view {base.policy.state_dim}, robot {robot!r} has {want}"
         )
     if base.policy.action_dim != adim:
         raise TaskConfigError("base policy action width does not fit the robot")
-    specs = []
     for i, m in enumerate(modules):
         if m.robot != robot:
             raise TaskConfigError(
                 f"module {i} was trained for {m.robot!r}, base drives {robot!r}"
             )
-        spec = make_attribute(m.kind, i + 1, robot, cfg, entity_index=m.entity_index)
-        want = spec.state_dim + adim
+        want = view_dim(m.kind, robot) + adim
         if m.comp_policy.state_dim != want:
             raise TaskConfigError(
                 f"module {i} expects input {m.comp_policy.state_dim}, "
@@ -183,8 +169,26 @@ def make_cascade(
             )
         if m.comp_policy.action_dim != adim:
             raise TaskConfigError("module action width does not fit the robot")
-        specs.append(spec)
-    return CascadePolicy(base, base_spec, list(modules), specs, cfg)
+
+
+def make_cascade(base: BaseModule, modules: list[AttributeModule], task: Task) -> CascadePolicy:
+    """The stack that acts in `task`: the base drives the task's robot, the
+    widths fit, and a module bound to e acts on the e-th add-on of its kind,
+    which the task must define."""
+    if base.robot != task.robot:
+        raise TaskConfigError(f"base checkpoint drives {base.robot!r}, task uses {task.robot!r}")
+    check_widths(base, modules)
+    specs = []
+    for i, m in enumerate(modules):
+        of_kind = [s for s in task.addons if s.kind == m.kind]
+        if not of_kind:
+            raise TaskConfigError(f"module {i} compensates for {m.kind!r}, task has no such add-on")
+        if m.entity_index >= len(of_kind):
+            raise TaskConfigError(
+                f"module {i} bound to {m.kind} {m.entity_index}, task defines {len(of_kind)}"
+            )
+        specs.append(of_kind[m.entity_index])
+    return CascadePolicy(base, list(modules), specs, task)
 
 
 # ---------------------------------------------------------------------------

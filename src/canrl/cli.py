@@ -19,12 +19,11 @@ import os
 import sys
 from pathlib import Path
 
-from .cascade import make_cascade
+from .cascade import check_widths, make_cascade
 from .errors import DivergenceError, InfeasibleTaskError, SimulationFault, TaskConfigError
 from .harness import (
     RunConfig,
     cascade_actor,
-    cascade_for_task,
     evaluate_policy,
     load_base,
     load_cascade,
@@ -35,14 +34,7 @@ from .harness import (
     write_cascade_descriptor,
     write_json,
 )
-from .taskio import (
-    STOCK_TASK_NAMES,
-    LoadedTask,
-    arm_sim_config,
-    load_stock_task,
-    load_task,
-    point_sim_config,
-)
+from .taskio import STOCK_TASK_NAMES, LoadedTask, load_stock_task, load_task
 
 
 def _emit(line: str) -> None:
@@ -105,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="PATH[:ENTITY]",
-        help="module checkpoint, optionally bound to an obstacle index",
+        help="module checkpoint, optionally bound to an add-on index of its kind",
     )
     p.add_argument("--out", required=True)
     p.add_argument("--task", default=None, help="validate bindings against this task")
@@ -180,10 +172,9 @@ def _cmd_assemble(args) -> int:
             }
         )
     if args.task is not None:
-        cascade_for_task(base, modules, _resolve_task(args.task).task)
+        make_cascade(base, modules, _resolve_task(args.task).task)
     else:
-        cfg = point_sim_config() if base.robot == "point" else arm_sim_config()
-        make_cascade(base, modules, cfg)  # width and robot checks
+        check_widths(base, modules)
     write_cascade_descriptor(out, os.path.relpath(args.base, out.parent or "."), entries)
     _emit(f"assembled {len(modules)} module(s) -> {out}")
     return 0
@@ -194,7 +185,7 @@ def _cmd_eval(args) -> int:
     if args.descriptor is not None:
         cascade = load_cascade(args.descriptor, loaded.task)
     else:
-        cascade = cascade_for_task(load_base(args.base), [], loaded.task)
+        cascade = make_cascade(load_base(args.base), [], loaded.task)
     report = evaluate_policy(
         cascade_actor(cascade),
         loaded.task,
@@ -212,9 +203,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare(args) -> int:
     loaded = _resolve_task(args.task)
-    if not loaded.task.addons:
+    if len(loaded.task.addons) != 1:
         raise TaskConfigError(
-            f"compare needs a task with an add-on attribute, {args.task!r} has none"
+            f"compare needs a task with exactly one add-on, {args.task!r} has {len(loaded.task.addons)}"
         )
     emit = None if args.quiet else _emit
     summary = run_compare(

@@ -217,21 +217,16 @@ def cascade_actor(cascade: CascadePolicy) -> Callable:
     return lambda worlds, rngs: cascade_act(cascade, worlds)
 
 
-def base_actor(base: BaseModule, task: Task) -> Callable:
-    return cascade_actor(cascade_for_task(base, [], task))
-
-
 CLEARANCE_FACTOR = 3.0
 
 
 def compensation_profile(
     cascade: CascadePolicy,
-    task: Task,
     episodes: int,
     seed: int,
     level: float = 1.0,
 ) -> dict:
-    """How much the last module pushes when obstacles are far away.
+    """How much the last module pushes in its own task when obstacles are far away.
 
     A step counts as far when every obstacle's surface gap exceeds
     CLEARANCE_FACTOR times its own contact range.  A module that learned
@@ -241,6 +236,7 @@ def compensation_profile(
     """
     if not cascade.modules:
         raise TaskConfigError("profile needs at least one module")
+    task = cascade.task
     contact = (
         task.cfg.robot_radius if task.robot == "point" else task.cfg.link_radius
     )
@@ -298,29 +294,6 @@ def write_cascade_descriptor(
     return write_json(path, payload)
 
 
-def cascade_for_task(
-    base: BaseModule, modules: list[AttributeModule], task: Task
-) -> CascadePolicy:
-    """Build a stack that can act in `task`: the base must drive the task's
-    robot, every module must compensate for one of its add-ons and every
-    obstacle binding must exist, on top of the width checks of
-    `make_cascade`."""
-    if base.robot != task.robot:
-        raise TaskConfigError(
-            f"base checkpoint drives {base.robot!r}, task uses {task.robot!r}"
-        )
-    kinds = [a.kind for a in task.addon_setups]
-    for i, m in enumerate(modules):
-        if m.kind not in kinds:
-            raise TaskConfigError(f"module {i} compensates for {m.kind!r}, task has no such add-on")
-        if m.kind == "obstacle" and m.entity_index >= kinds.count("obstacle"):
-            raise TaskConfigError(
-                f"module {i} bound to obstacle {m.entity_index}, "
-                f"task defines {kinds.count('obstacle')}"
-            )
-    return make_cascade(base, modules, task.cfg)
-
-
 # what each field of a cascade descriptor, and of each of its modules, must be
 _PATH = (lambda v: isinstance(v, str), "a path")
 _OBJECTS = (lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v),
@@ -351,7 +324,7 @@ def load_cascade(descriptor_path: str | Path, task: Task) -> CascadePolicy:
         if "weight" in entry:
             module.weight = float(entry["weight"])
         modules.append(module)
-    return cascade_for_task(base, modules, task)
+    return make_cascade(base, modules, task)
 
 
 # ---------------------------------------------------------------------------

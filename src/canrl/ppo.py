@@ -34,7 +34,7 @@ from .curriculum import (
     curriculum_update,
     effective_reset_level,
 )
-from .errors import DimensionError, DivergenceError
+from .errors import DimensionError, DivergenceError, TaskConfigError
 from .nets import (
     LOG_2PI,
     SIGMA_MAX,
@@ -500,7 +500,7 @@ def train_base(
 ) -> TrainResult:
     """Train the reaching policy on a bare task; returns a frozen base."""
     if task.addons:
-        raise ValueError("base training expects a task with no add-ons")
+        raise TaskConfigError(f"base training expects a task with no add-ons, got {len(task.addons)}")
     rng = episode_rng(seed, INIT_STREAM, 0)
     policy = GaussianPolicy.create(
         task.base.state_dim, task.action_dim, rng, HIDDEN, ppo_cfg.init_std
@@ -535,7 +535,9 @@ def train_attribute(
     if not base.frozen:
         raise ValueError("attribute training needs a frozen base module")
     if len(task.addons) != 1:
-        raise ValueError("attribute training expects exactly one add-on")
+        raise TaskConfigError(
+            f"attribute training expects a task with exactly one add-on, got {len(task.addons)}"
+        )
     spec = task.addons[0]
     rng = episode_rng(seed, INIT_STREAM, 1)
     adim = task.action_dim
@@ -552,7 +554,7 @@ def train_attribute(
         critic,
         entity_index=spec.entity_index,
     )
-    cascade = make_cascade(base, [module], task.cfg)
+    cascade = make_cascade(base, [module], task)
     actor = CascadeTailActor(cascade)
     snapshot = [p.copy() for p in base.policy.parameters()]
     ramp = max(1, math.ceil(ppo_cfg.weight_ramp_fraction * max_iterations))

@@ -177,18 +177,25 @@ def _parse_sim(robot: str, spec: dict) -> SimConfig:
     return cfg
 
 
-def _parse_nominal(robot: str, spec: dict, workspace: float) -> Nominal:
+def _parse_nominal(robot: str, spec: dict, cfg: SimConfig) -> Nominal:
     check_fields(spec, _NOMINAL_RULES[robot], "nominal ", required=("target", "position"),
                  unknown=f"unknown nominal keys for the {robot} robot: ")
     # the robot is clamped to the arena, so a start or target outside it
     # could never be left or reached
     for key in ("target", "position", "base_x"):
         value = spec.get(key, 0.0)
-        if max(map(abs, value if isinstance(value, list) else [value])) > workspace:
+        if max(map(abs, value if isinstance(value, list) else [value])) > cfg.workspace:
             raise TaskConfigError(
-                f"nominal {key} must lie within sim.workspace {workspace!r}, got {value!r}"
+                f"nominal {key} must lie within sim.workspace {cfg.workspace!r}, got {value!r}"
             )
     target = np.asarray(spec["target"], dtype=float)
+    # the effector stays within the links' reach of the rail at y = 0
+    reach = sum(cfg.link_lengths) + cfg.target_radius
+    if robot == "arm" and abs(target[1]) > reach:
+        raise TaskConfigError(
+            f"nominal target y must lie within the arm's reach {reach!r} "
+            f"(sum of sim.link_lengths + sim.target_radius), got {spec['target']!r}"
+        )
     if robot == "point":
         return Nominal(target=target, position=np.asarray(spec["position"], dtype=float))
     angles = np.asarray(spec.get("joint_angles", [0.0] * 4), dtype=float)
@@ -240,7 +247,7 @@ def parse_task(raw: dict) -> LoadedTask:
     check_fields(raw, _TASK_RULES, required=("robot",), unknown="unknown task keys: ")
     robot = raw["robot"]
     cfg = _parse_sim(robot, raw.get("sim", {}))
-    nominal = _parse_nominal(robot, raw.get("nominal", {}), cfg.workspace)
+    nominal = _parse_nominal(robot, raw.get("nominal", {}), cfg)
     addons = _parse_addons(raw.get("addons", []), cfg.dt)
     curriculum = _parse_curriculum(raw.get("curriculum", {}))
     task = build_task(robot, cfg, nominal, addons)

@@ -31,7 +31,6 @@ from canrl.dynamics import PointRobotState, WorldState
 from canrl.harness import (
     MODULE_RECIPES,
     RunConfig,
-    base_actor,
     cascade_actor,
     compensation_profile,
     evaluate_policy,
@@ -108,7 +107,7 @@ def compare_summary(point_base, workdir):
 
 
 def eval_stack(base, module_list, loaded, episodes):
-    cascade = make_cascade(base, module_list, loaded.task.cfg)
+    cascade = make_cascade(base, module_list, loaded.task)
     return evaluate_policy(
         cascade_actor(cascade), loaded.task, episodes=episodes, seed=EVAL_SEED
     )
@@ -302,7 +301,7 @@ def test_04_reward_values(capsys):
     ok &= got == pytest.approx(-0.3 * (2.0 - 1.5), abs=1e-15)
     ok &= speed_reward(world([0.0, 0.0], vel=[1.0, 0.0]), prof) == 0.0
 
-    force = make_attribute("force", 1, "point", cfg)
+    force = make_attribute("force", "point", cfg)
     w = world([0.0, 0.0], disturbance=DisturbanceForce(np.array([5.0, -5.0])))
     ok &= force.reward(w, np.zeros(2)) == 0.0
 
@@ -314,10 +313,9 @@ def test_04_reward_values(capsys):
 
 def test_05_point_base_trains(capsys, point_base):
     result, _ = point_base
+    task = load_stock_task("point_reach").task
     report = evaluate_policy(
-        base_actor(result.base, load_stock_task("point_reach").task),
-        load_stock_task("point_reach").task,
-        episodes=50, seed=EVAL_SEED,
+        cascade_actor(make_cascade(result.base, [], task)), task, episodes=50, seed=EVAL_SEED
     )
     itt = result.iterations_to_terminal
     ok = itt is not None and itt <= 500 and report["success_rate"] >= 0.9
@@ -377,7 +375,7 @@ def test_07_two_obstacle_composition(capsys, point_base, modules, workdir):
         loaded, 50,
     )
     bare = evaluate_policy(
-        base_actor(base_result.base, loaded.task), loaded.task,
+        cascade_actor(make_cascade(base_result.base, [], loaded.task)), loaded.task,
         episodes=50, seed=EVAL_SEED,
     )
     ok = (
@@ -426,10 +424,8 @@ def test_08_compare_direction(capsys, compare_summary):
 def test_09_far_field_compensation(capsys, point_base, modules):
     base_result, _ = point_base
     result, loaded = modules["point_obstacle"]
-    cascade = make_cascade(base_result.base, [result.module], loaded.task.cfg)
-    profile = compensation_profile(
-        cascade, loaded.task, episodes=20, seed=PROFILE_SEED
-    )
+    cascade = make_cascade(base_result.base, [result.module], loaded.task)
+    profile = compensation_profile(cascade, episodes=20, seed=PROFILE_SEED)
     ratio = profile["comp_to_base_ratio"]
     ok = ratio < 0.2
     verdict(

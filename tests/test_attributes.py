@@ -97,7 +97,7 @@ class TestRewardTable:
         assert speed_reward(slow, prof) == 0.0
 
     def test_force_attribute_reward_is_zero(self):
-        spec = make_attribute("force", 1, "point", CFG)
+        spec = make_attribute("force", "point", CFG)
         w = point_world([0.0, 0.0], disturbance=DisturbanceForce(np.array([5.0, 5.0])))
         assert spec.reward(w, np.zeros(2)) == 0.0
 
@@ -122,14 +122,14 @@ class TestViews:
         assert view_dim("obstacle", "arm") == 15
 
     def test_base_view_uses_relative_target(self):
-        spec = make_attribute("reach", 0, "point", CFG)
+        spec = make_attribute("reach", "point", CFG)
         a = view(spec, point_world([0.0, 0.0], target=[0.5, 0.0]))
         b = view(spec, point_world([0.2, 0.2], target=[0.7, 0.2]))
         assert np.allclose(a[4:], b[4:])
         assert np.allclose(a[4:], [0.5, 0.0])
 
     def test_obstacle_view_ignores_target_and_other_obstacles(self):
-        spec = make_attribute("obstacle", 1, "point", CFG, entity_index=0)
+        spec = make_attribute("obstacle", "point", CFG, entity_index=0)
         obs0 = ObstacleParams(0.1, 0.2, 0.1, 0.0, 0.25)
         obs1 = ObstacleParams(-0.4, 0.0, 0.1, 0.1, 0.0)
         obs1_moved = ObstacleParams(0.8, -0.8, 0.1, -0.1, 0.0)
@@ -138,7 +138,7 @@ class TestViews:
         assert np.array_equal(a, b)
 
     def test_second_obstacle_binding(self):
-        spec = make_attribute("obstacle", 2, "point", CFG, entity_index=1)
+        spec = make_attribute("obstacle", "point", CFG, entity_index=1)
         obs0 = ObstacleParams(0.1, 0.2, 0.1, 0.0, 0.0)
         obs1 = ObstacleParams(-0.4, 0.3, 0.15, 0.1, 0.0)
         v = view(spec, point_world([0.0, 0.0], obstacles=[obs0, obs1]))
@@ -146,7 +146,7 @@ class TestViews:
         assert v[8] == 0.15
 
     def test_door_view_has_wait_time(self):
-        spec = make_attribute("door", 1, "point", CFG)
+        spec = make_attribute("door", "point", CFG)
         seg = np.array([[0.0, -0.5], [0.0, 0.5]])
         door = DoorSchedule(seg, [(1.0, 2.0)])
         v = view(spec, point_world([-0.2, 0.0], t=0.25, door=door))
@@ -156,14 +156,14 @@ class TestViews:
         assert v_open[-1] == 0.0
 
     def test_speed_view_tracks_profile(self):
-        spec = make_attribute("speed", 1, "point", CFG)
+        spec = make_attribute("speed", "point", CFG)
         prof = SpeedLimitProfile(np.array([0.0, 2.0]), np.array([1.0, 2.0]))
         v = view(spec, point_world([0, 0], t=1.0, speed_profile=prof))
         assert v[-1] == pytest.approx(1.5)
 
     def test_missing_entity_is_config_error(self):
         for kind in ("obstacle", "door", "speed", "force"):
-            spec = make_attribute(kind, 1, "point", CFG)
+            spec = make_attribute(kind, "point", CFG)
             with pytest.raises(TaskConfigError):
                 view(spec, point_world([0, 0]))
 

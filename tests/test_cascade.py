@@ -14,18 +14,17 @@ from canrl.cascade import (
     base_module_from_dict,
     base_module_to_dict,
     cascade_act,
+    check_widths,
     combine,
     compensation_penalty,
     make_cascade,
     weight_schedule,
 )
-from canrl.attributes import reset
+from canrl.attributes import Nominal, build_task, reset
 from canrl.dynamics import SimConfig, action_limits
 from canrl.errors import TaskConfigError
 from canrl.nets import DenseNet, GaussianPolicy, gaussian_log_prob
-from canrl.taskio import load_stock_task, point_sim_config
-
-CFG = point_sim_config()
+from canrl.taskio import load_stock_task
 
 
 def fresh_base(seed=0, robot="point"):
@@ -65,10 +64,10 @@ def rngs(seed, n=3):
 class TestActs:
     def test_empty_cascade_equals_base(self):
         base = fresh_base()
-        cascade = make_cascade(base, [], CFG)
         task, worlds = obstacle_worlds()
+        cascade = make_cascade(base, [], task)
         a, rec = cascade_act(cascade, worlds)
-        views = cascade.base_spec.extract(worlds)
+        views = task.base.extract(worlds)
         assert np.array_equal(a, base.policy.mean(views))
         assert rec.log_prob is None
         assert not rec.stack_actions
@@ -82,8 +81,8 @@ class TestActs:
     def test_zero_weight_module_is_transparent(self):
         base = fresh_base()
         module = fresh_module(weight=0.0)
-        cascade = make_cascade(base, [module], CFG)
-        _, worlds = obstacle_worlds()
+        task, worlds = obstacle_worlds()
+        cascade = make_cascade(base, [module], task)
         a, rec = cascade_act(cascade, worlds)
         assert np.array_equal(a, rec.base_action)
 
@@ -93,8 +92,8 @@ class TestActs:
         # pin the comp net's output to a constant
         module.comp_policy.mean_net.weights[-1][:] = 0.0
         module.comp_policy.mean_net.biases[-1][:] = 0.3
-        cascade = make_cascade(base, [module], CFG)
-        _, worlds = obstacle_worlds()
+        task, worlds = obstacle_worlds()
+        cascade = make_cascade(base, [module], task)
         a, rec = cascade_act(cascade, worlds)
         assert not np.array_equal(a, rec.base_action)
         assert np.allclose(a, rec.base_action + 0.3, atol=1e-12)
@@ -113,8 +112,8 @@ class TestActs:
             DenseNet.create([15, 8, 1], np.random.default_rng(0)), weight=0.5,
         )
         base = fresh_base()
-        cascade = make_cascade(base, [module], CFG)
-        _, worlds = obstacle_worlds()
+        task, worlds = obstacle_worlds()
+        cascade = make_cascade(base, [module], task)
         a, rec = cascade_act(cascade, worlds)
         assert np.allclose(a, 1.5 * rec.base_action, atol=1e-12)
 
@@ -124,8 +123,8 @@ class TestActs:
         m2 = fresh_module(seed=2, weight=1.0, entity_index=1)
         m1.comp_policy.mean_net.biases[-1][:] = 0.2
         m2.comp_policy.mean_net.biases[-1][:] = -0.1
-        cascade = make_cascade(base, [m1, m2], CFG)
         loaded = load_stock_task("point_two_obstacles")
+        cascade = make_cascade(base, [m1, m2], loaded.task)
         worlds = [reset(loaded.task, 0.3, np.random.default_rng(s)) for s in (3, 4)]
         a, rec = cascade_act(cascade, worlds)
         assert len(rec.stack_actions) == 2
@@ -134,16 +133,16 @@ class TestActs:
         assert np.allclose(rec.comp_inputs[1][:, -2:], rec.stack_actions[0], atol=1e-15)
 
     def test_stochastic_needs_rng(self):
-        cascade = make_cascade(fresh_base(), [fresh_module()], CFG)
-        _, worlds = obstacle_worlds()
+        task, worlds = obstacle_worlds()
+        cascade = make_cascade(fresh_base(), [fresh_module()], task)
         for head in (0, 1):
             with pytest.raises(ValueError):
                 cascade_act(cascade, worlds, rngs=None, explore=head)
 
     def test_stochastic_reproducible(self):
         base = fresh_base()
-        cascade = make_cascade(base, [fresh_module()], CFG)
-        _, worlds = obstacle_worlds()
+        task, worlds = obstacle_worlds()
+        cascade = make_cascade(base, [fresh_module()], task)
         mean, _ = cascade_act(cascade, worlds)
         for head in (0, 1):
             a1, r1 = cascade_act(cascade, worlds, rngs(5), explore=head)
@@ -154,8 +153,8 @@ class TestActs:
 
     def test_explored_tail_log_prob_matches_policy(self):
         module = fresh_module(weight=1.0)
-        cascade = make_cascade(fresh_base(), [module], CFG)
-        _, worlds = obstacle_worlds()
+        task, worlds = obstacle_worlds()
+        cascade = make_cascade(fresh_base(), [module], task)
         _, rec = cascade_act(cascade, worlds, rngs(4), explore=1)
         pol = module.comp_policy
         want = gaussian_log_prob(
@@ -169,7 +168,7 @@ class TestActs:
         loaded = load_stock_task("point_two_obstacles")
         worlds = [reset(loaded.task, 1.0, np.random.default_rng(s)) for s in range(5)]
         cascade = make_cascade(
-            fresh_base(), [fresh_module(seed=1), fresh_module(seed=2, entity_index=1)], CFG
+            fresh_base(), [fresh_module(seed=1), fresh_module(seed=2, entity_index=1)], loaded.task
         )
         for explore in (None, 0, 2):
             batch = rngs(6, 5) if explore is not None else None
@@ -198,7 +197,7 @@ class TestActs:
         loaded = load_stock_task("point_two_obstacles")
         worlds = [reset(loaded.task, 1.0, np.random.default_rng(s)) for s in range(4)]
         cascade = make_cascade(
-            fresh_base(), [fresh_module(seed=1), fresh_module(seed=2, entity_index=1)], CFG
+            fresh_base(), [fresh_module(seed=1), fresh_module(seed=2, entity_index=1)], loaded.task
         )
         calls = []
         gather = cascade_mod.robot_columns
@@ -207,7 +206,7 @@ class TestActs:
         )
         _, rec = cascade_act(cascade, worlds)
         assert len(calls) == 1
-        assert rec.base_view.tobytes() == cascade.base_spec.extract(worlds).tobytes()
+        assert rec.base_view.tobytes() == loaded.task.base.extract(worlds).tobytes()
         for view, spec in zip(rec.views, cascade.module_specs):
             assert view.tobytes() == spec.extract(worlds).tobytes()
 
@@ -215,10 +214,11 @@ class TestActs:
 class TestLimits:
     @pytest.mark.parametrize("robot", ["point", "arm"])
     def test_cached_limits_are_read_only(self, robot):
+        # the task's table is the only one; its stacks clamp to it
         cfg = SimConfig(force_limit=2.0, torque_limit=0.5)
-        cascade = make_cascade(fresh_base(robot=robot), [], cfg)
-        lim = cascade.limits
-        assert lim is cascade.limits
+        task = build_task(robot, cfg, Nominal(np.zeros(2)), [])
+        lim = task.limits
+        assert lim is task.limits
         assert lim.tobytes() == action_limits(robot, cfg).tobytes()
         assert not lim.flags.writeable
         with pytest.raises(ValueError):
@@ -269,7 +269,7 @@ class TestValidation:
             GaussianPolicy.create(20, 5, rng), DenseNet.create([27, 8, 1], rng),
         )
         with pytest.raises(TaskConfigError):
-            make_cascade(base, [arm_module], CFG)
+            make_cascade(base, [arm_module], load_stock_task("point_obstacle").task)
 
     def test_wrong_module_width_rejected(self):
         base = fresh_base()
@@ -279,7 +279,7 @@ class TestValidation:
             GaussianPolicy.create(7, 2, rng), DenseNet.create([15, 8, 1], rng),
         )
         with pytest.raises(TaskConfigError):
-            make_cascade(base, [bad], CFG)
+            make_cascade(base, [bad], load_stock_task("point_obstacle").task)
 
     def test_wrong_base_width_rejected(self):
         rng = np.random.default_rng(0)
@@ -287,7 +287,45 @@ class TestValidation:
             "point", GaussianPolicy.create(9, 2, rng), DenseNet.create([9, 8, 1], rng)
         )
         with pytest.raises(TaskConfigError):
-            make_cascade(bad, [], CFG)
+            make_cascade(bad, [], load_stock_task("point_reach").task)
+
+    def test_base_for_other_robot_rejected(self):
+        with pytest.raises(TaskConfigError, match="base checkpoint drives 'arm', task uses 'point'"):
+            make_cascade(fresh_base(robot="arm"), [], load_stock_task("point_reach").task)
+
+    def test_widths_checked_without_a_task(self):
+        # any kinds and bindings: only the robot and the widths are checked
+        check_widths(fresh_base(), [fresh_module(kind="door", entity_index=3),
+                                    fresh_module(kind="speed")])
+        wide = fresh_module(kind="speed")
+        wide.comp_policy = fresh_module(kind="door").comp_policy
+        with pytest.raises(TaskConfigError, match="module 1 expects input 11, attribute view"):
+            check_widths(fresh_base(), [fresh_module(), wide])
+
+
+class TestTaskSpecs:
+    """A stack acts on its task's own spec objects, never on copies."""
+
+    def test_specs_are_the_tasks_own(self):
+        task = load_stock_task("point_two_obstacles").task
+        modules = [fresh_module(entity_index=e) for e in (1, 0, 1)]
+        cascade = make_cascade(fresh_base(), modules, task)
+        assert cascade.task is task
+        for e, spec in zip((1, 0, 1), cascade.module_specs):
+            (own,) = [s for s in task.addons if s.kind == "obstacle" and s.entity_index == e]
+            assert spec is own
+
+    @pytest.mark.parametrize("task, kind, binding, message", [
+        ("point_obstacle", "obstacle", 1, "module 0 bound to obstacle 1, task defines 1"),
+        ("point_door", "door", 3, "module 0 bound to door 3, task defines 1"),
+        ("point_speed", "speed", 1, "module 0 bound to speed 1, task defines 1"),
+        ("point_force", "force", 2, "module 0 bound to force 2, task defines 1"),
+        ("point_door", "obstacle", 0, "module 0 compensates for 'obstacle', task has no such add-on"),
+    ], ids=["obstacle", "door", "speed", "force", "absent_kind"])
+    def test_binding_needs_that_many_addons_of_its_kind(self, task, kind, binding, message):
+        module = fresh_module(kind=kind, entity_index=binding)
+        with pytest.raises(TaskConfigError, match=message):
+            make_cascade(fresh_base(), [module], load_stock_task(task).task)
 
 
 class TestCheckpoints:

@@ -140,8 +140,7 @@ def digests(tmp_path_factory):
         name: sha256((d / name).read_bytes()) for name in GOLDEN if name != "profile"
     }
     task = load_stock_task("point_two_obstacles").task
-    profile = compensation_profile(load_cascade(d / "stack.json", task), task,
-                                   episodes=3, seed=0)
+    profile = compensation_profile(load_cascade(d / "stack.json", task), episodes=3, seed=0)
     out["profile"] = sha256(json.dumps(profile, sort_keys=True).encode())
     return out
 

@@ -23,7 +23,6 @@ from canrl.cascade import (
 from canrl.harness import (
     CLEARANCE_FACTOR,
     EVAL_BLOCK,
-    base_actor,
     cascade_actor,
     compensation_profile,
     evaluate_policy,
@@ -268,7 +267,7 @@ def point_stack():
     critic = DenseNet.create([15, 8, 1], np.random.default_rng(2))
     modules = [AttributeModule("point", "obstacle", comp, critic, 0.3, entity_index=i) for i in (0, 1)]
     task = load_stock_task("point_two_obstacles").task
-    return make_cascade(base, modules, task.cfg), task
+    return make_cascade(base, modules, task), task
 
 
 def arm_stack():
@@ -282,7 +281,7 @@ def arm_stack():
         DenseNet.create([27, 8, 1], rng), 0.5,
     )
     task = load_stock_task("arm_obstacle").task
-    return make_cascade(base, [module], task.cfg), task
+    return make_cascade(base, [module], task), task
 
 
 class TestLockstep:
@@ -301,32 +300,24 @@ class TestLockstep:
     @pytest.mark.parametrize("stack, episodes", [(point_stack, EVAL_BLOCK + 4), (arm_stack, 5)])
     def test_profile_matches_serial(self, stack, episodes):
         cascade, task = stack()
-        got = compensation_profile(cascade, task, episodes, seed=5)
+        got = compensation_profile(cascade, episodes, seed=5)
         want = serial_profile(cascade, task, episodes, seed=5)
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 class TestCompensationProfile:
     def test_silent_module_scores_near_zero(self):
-        loaded = load_stock_task("point_obstacle")
-        from canrl.cascade import make_cascade
-
-        cascade = make_cascade(
-            pinned_base(), [pinned_module((0.0, 0.0))], loaded.task.cfg
-        )
-        prof = compensation_profile(cascade, loaded.task, episodes=3, seed=0)
+        task = load_stock_task("point_obstacle").task
+        cascade = make_cascade(pinned_base(), [pinned_module((0.0, 0.0))], task)
+        prof = compensation_profile(cascade, episodes=3, seed=0)
         assert prof["mean_comp_norm"] == 0.0
         assert prof["comp_to_base_ratio"] == 0.0
         assert 0 < prof["steps_far"] <= prof["steps_total"]
 
     def test_loud_module_scores_high(self):
-        loaded = load_stock_task("point_obstacle")
-        from canrl.cascade import make_cascade
-
-        cascade = make_cascade(
-            pinned_base(), [pinned_module((0.4, 0.0))], loaded.task.cfg
-        )
-        prof = compensation_profile(cascade, loaded.task, episodes=3, seed=0)
+        task = load_stock_task("point_obstacle").task
+        cascade = make_cascade(pinned_base(), [pinned_module((0.4, 0.0))], task)
+        prof = compensation_profile(cascade, episodes=3, seed=0)
         assert prof["comp_to_base_ratio"] > 0.2
 
 
@@ -365,17 +356,22 @@ class TestCascadeDescriptors:
         for a, b in zip(first.comp_policy.mean_net.weights, second.comp_policy.mean_net.weights):
             assert not np.shares_memory(a, b) and a.tobytes() == b.tobytes()
 
-    def test_unbound_entity_rejected(self, tmp_path):
-        save_base(tmp_path / "b.json", pinned_base())
-        save_module(tmp_path / "m.json", pinned_module())
-        write_cascade_descriptor(
-            tmp_path / "stack.json",
-            "b.json",
-            [{"checkpoint": "m.json", "entity_binding": 1}],
-        )
-        loaded = load_stock_task("point_obstacle")  # one obstacle only
-        with pytest.raises(TaskConfigError):
-            load_cascade(tmp_path / "stack.json", loaded.task)
+    def test_unbound_entity_rejected(self, tmp_path, capsys):
+        # each task defines one add-on of the module's kind; every kind binds alike
+        for task, kind, binding in (("point_obstacle", "obstacle", 1), ("point_door", "door", 3)):
+            save_base(tmp_path / "b.json", pinned_base())
+            save_module(tmp_path / "m.json", pinned_module(kind=kind))
+            write_cascade_descriptor(
+                tmp_path / "stack.json",
+                "b.json",
+                [{"checkpoint": "m.json", "entity_binding": binding}],
+            )
+            message = f"module 0 bound to {kind} {binding}, task defines 1"
+            with pytest.raises(TaskConfigError, match=message):
+                load_cascade(tmp_path / "stack.json", load_stock_task(task).task)
+            rc = cli.main(["eval", "--task", task, "--descriptor", str(tmp_path / "stack.json"),
+                           "--episodes", "1"])
+            assert rc == 2 and capsys.readouterr().err == f"error: {message}\n"
 
     def test_robot_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -737,13 +733,17 @@ class TestCli:
          "nominal base_x must lie within sim.workspace"),
         ("arm_reach", lambda d: d["nominal"].update(target=[0.45, 5.0]),
          "nominal target must lie within sim.workspace"),
+        ("arm_reach", lambda d: d.update(sim={"link_lengths": [0.1] * 4}) or
+         d["nominal"].update(target=[0.45, 0.9]),
+         "nominal target y must lie within the arm's reach 0.5 "
+         "(sum of sim.link_lengths + sim.target_radius), got [0.45, 0.9]"),
     ], ids=["target_string", "target_nan", "position_inf", "arm_base_x_string",
             "arm_joint_angle_string", "nominal_list", "curriculum_list", "sim_list",
             "params_list", "force_magnitude_string", "obstacle_center_short",
             "misspelled_addons", "nominal_postion", "point_nominal_base_x",
             "arm_nominal_basex", "speed_params_coef", "obstacle_params_coeff",
             "target_outside_arena", "position_outside_arena", "arm_base_x_outside_arena",
-            "arm_target_outside_arena"])
+            "arm_target_outside_arena", "arm_target_beyond_reach"])
     def test_eval_bad_task_exits_2(self, tmp_path, capsys, task, edit, message):
         d = load_stock_task(task).raw
         edit(d)
@@ -879,16 +879,64 @@ class TestCli:
         assert "--budget" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_assemble_rejects_unbound_entity(self, tmp_path):
+    def test_assemble_rejects_unbound_entity(self, tmp_path, capsys):
         base = tmp_path / "b.json"
         mod = tmp_path / "m.json"
         save_base(base, pinned_base())
-        save_module(mod, pinned_module())
-        rc = cli.main(
-            ["assemble", "--base", str(base), "--module", f"{mod}:2",
-             "--out", str(tmp_path / "s.json"), "--task", "point_obstacle"]
-        )
+        for task, kind, binding in (("point_obstacle", "obstacle", 2), ("point_door", "door", 5)):
+            save_module(mod, pinned_module(kind=kind))
+            rc = cli.main(
+                ["assemble", "--base", str(base), "--module", f"{mod}:{binding}",
+                 "--out", str(tmp_path / "s.json"), "--task", task]
+            )
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err == f"error: module 0 bound to {kind} {binding}, task defines 1\n"
+            assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("case", ["module_robot", "module_width", "base_width"])
+    def test_assemble_without_task_checks_widths(self, tmp_path, capsys, case):
+        rng = np.random.default_rng(0)
+        base, module = pinned_base(), pinned_module()
+        if case == "module_robot":
+            module = AttributeModule("arm", "obstacle", GaussianPolicy.create(20, 5, rng),
+                                     DenseNet.create([27, 8, 1], rng))
+        elif case == "module_width":
+            module.comp_policy = GaussianPolicy.create(7, 2, rng)
+        else:
+            base.policy = GaussianPolicy.create(9, 2, rng)
+        save_base(tmp_path / "b.json", base)
+        save_module(tmp_path / "m.json", module)
+        out = tmp_path / "s.json"
+        rc = cli.main(["assemble", "--base", str(tmp_path / "b.json"), "--module",
+                       str(tmp_path / "m.json"), "--out", str(out)])
+        err = capsys.readouterr().err
         assert rc == 2
+        assert {"module_robot": "module 0 was trained for 'arm', base drives 'point'",
+                "module_width": "module 0 expects input 7, attribute view + action is 11",
+                "base_width": "base policy expects view 9, robot 'point' has 6"}[case] in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("command, task, message", [
+        ("train-base", "point_obstacle", "base training expects a task with no add-ons, got 1"),
+        ("train-attr", "point_two_obstacles",
+         "attribute training expects a task with exactly one add-on, got 2"),
+        ("train-attr", "point_reach",
+         "attribute training expects a task with exactly one add-on, got 0"),
+        ("compare", "point_two_obstacles",
+         "compare needs a task with exactly one add-on, 'point_two_obstacles' has 2"),
+    ], ids=["base_on_obstacle", "attr_on_two_obstacles", "attr_on_reach", "compare_on_two_obstacles"])
+    def test_trainer_task_shape_exits_2(self, tmp_path, capsys, command, task, message):
+        save_base(tmp_path / "b.json", pinned_base())
+        out = tmp_path / "out"
+        args = [command, "--task", task, "--out", str(out), *TINY]
+        if command != "train-base":
+            args += ["--base", str(tmp_path / "b.json")]
+        rc = cli.main(args)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json"]
 
     @pytest.mark.parametrize("task, kind", [("point_reach", "door"), ("point_door", "speed")])
     def test_assemble_rejects_module_for_absent_addon(self, tmp_path, capsys, task, kind):

@@ -745,7 +745,7 @@ class TestViews:
     @pytest.mark.parametrize("robot", ["point", "arm"])
     @pytest.mark.parametrize("kind", ["reach", "obstacle", "door", "speed", "force"])
     def test_each_kind_is_one_row_per_world(self, robot, kind):
-        spec = make_attribute(kind, 1, robot, SimConfig())
+        spec = make_attribute(kind, robot, SimConfig())
         task = TASKS[f"{robot}_{kind}"]
         assert task.specs[-1].kind == kind
         for n in self.BATCHES:
@@ -768,7 +768,7 @@ class TestViews:
 
     @pytest.mark.parametrize("robot", ["point", "arm"])
     def test_world_missing_its_obstacle_fails_the_batched_view(self, robot):
-        spec = make_attribute("obstacle", 2, robot, SimConfig(), entity_index=1)
+        spec = make_attribute("obstacle", robot, SimConfig(), entity_index=1)
         _, worlds = task_worlds(f"{robot}_obstacle", range(3), 1.0)  # one obstacle each
         with pytest.raises(TaskConfigError, match="view needs obstacle 1, world has 1"):
             spec.extract(worlds)

@@ -318,7 +318,7 @@ def arm_tail_actor(task):
         GaussianPolicy.create(20, 5, rng, hidden=(8,), output_gain=0.5),
         DenseNet.create([27, 8, 1], rng),
     )
-    return CascadeTailActor(make_cascade(base, [module], task.cfg)), module.penalty_coeff
+    return CascadeTailActor(make_cascade(base, [module], task)), module.penalty_coeff
 
 
 class TestLockstepRollouts:
