@@ -501,6 +501,9 @@ def _sample_world(task: Task, level: float, rng: np.random.Generator, mode: str)
 
     ut = rng.uniform(size=2)
     y_lo, y_hi = (-w, w) if task.robot == "point" else ARM_TARGET_Y
+    if task.robot == "arm":  # within reach of the rail, as taskio checks the nominal target
+        y_hi = min(y_hi, sum(cfg.link_lengths) + cfg.target_radius)
+        y_lo = min(y_lo, y_hi)
     target = np.array(
         [_lerp_box(nom.target[0], -w, w, level, ut[0]), _lerp_box(nom.target[1], y_lo, y_hi, level, ut[1])]
     )

@@ -12,7 +12,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -117,17 +117,20 @@ def _robot_record(world) -> dict:
     }
 
 
-# episodes run in lockstep blocks of at most this many, in index order,
+# at most this many episodes are live at once, refilled in index order,
 # which bounds the live worlds (and trajectory lines held) for any count
 EVAL_BLOCK = 256
 
 
-def _blocks(seed: int, episodes: int) -> Iterator[tuple[int, list[np.random.Generator]]]:
-    """(first index, eval-stream rngs) of episodes 0..episodes-1, block
-    by block."""
-    for first in range(0, episodes, EVAL_BLOCK):
-        last = min(first + EVAL_BLOCK, episodes)
-        yield first, [episode_rng(seed, EVAL_STREAM, k) for k in range(first, last)]
+def _eval_steps(act: Callable, task: Task, episodes: int, seed: int, level: float):
+    """The steps of episodes 0..episodes-1, episode k drawing from the
+    eval stream at index k, with at most EVAL_BLOCK of them live."""
+    if episodes < 1:
+        raise TaskConfigError(f"need at least 1 episode, got {episodes}")
+    if not 0.0 <= level <= 1.0:
+        raise TaskConfigError(f"level must be in [0, 1], got {level}")
+    rngs = (episode_rng(seed, EVAL_STREAM, k) for k in range(episodes))
+    return run_episodes(task, act, level, rngs, admit=lambda n_live: n_live < EVAL_BLOCK)
 
 
 def evaluate_policy(
@@ -144,69 +147,62 @@ def evaluate_policy(
     An episode succeeds when the target is reached and no penalty event
     fired along the way.  Episode k draws from the eval stream at index
     k, so reports are reproducible and independent of each other.
-    Episodes run in lockstep blocks; tallies and trajectory lines are
-    kept per episode and reduced in episode order, so neither depends on
-    the block size.
+    Episodes run in lockstep; tallies are reduced, and trajectory lines
+    written, in episode order, so neither depends on how many run at once.
     """
-    if episodes < 1:
-        raise TaskConfigError(f"need at least 1 episode, got {episodes}")
-    if not 0.0 <= level <= 1.0:
-        raise TaskConfigError(f"level must be in [0, 1], got {level}")
-    reached = 0
-    successes = 0
-    lengths = []
-    totals = []
-    violations: dict[str, int] = {}
+    steps_of = _eval_steps(act, task, episodes, seed, level)
+    total = [0.0] * episodes
+    lengths = [0] * episodes
+    events: list[list[str]] = [[] for _ in range(episodes)]
+    lines: list[list[str]] = [[] for _ in range(episodes)]
+    done = [False] * episodes
+    written = 0  # episodes whose lines are in the file
     sink = None
     if trajectory_path is not None:
         Path(trajectory_path).parent.mkdir(parents=True, exist_ok=True)
         sink = open(trajectory_path, "w")
     try:
-        for first, rngs in _blocks(seed, episodes):
-            n = len(rngs)
-            total = [0.0] * n
-            steps = [0] * n
-            events: list[list[str]] = [[] for _ in range(n)]
-            lines: list[list[str]] = [[] for _ in range(n)]
-            for step in run_episodes(task, act, level, rngs):
-                k = step.episode
-                total[k] += float(sum(step.rewards))
-                steps[k] += 1
-                events[k] += step.events
-                if sink is not None:
-                    rec = {
-                        "episode": first + k,
-                        "t": step.next_world.time,
-                        "robot": _robot_record(step.next_world),
-                        "action": [float(v) for v in np.asarray(step.action)],
-                        "rewards": [float(r) for r in step.rewards],
-                        "total_reward": float(sum(step.rewards)),
-                        "events": list(step.events),
-                    }
-                    lines[k].append(json.dumps(rec, sort_keys=True) + "\n")
-            for k in range(n):
-                got_there = "reached_target" in events[k]
-                clean = True
-                for ev in events[k]:  # every other event is a penalty event
-                    if ev != "reached_target":
-                        clean = False
-                        violations[ev] = violations.get(ev, 0) + 1
-                reached += int(got_there)
-                successes += int(got_there and clean)
-                if sink is not None:
-                    sink.writelines(lines[k])
-            lengths += steps
-            totals += total
+        for step in steps_of:
+            k = step.episode
+            total[k] += float(sum(step.rewards))
+            lengths[k] += 1
+            events[k] += step.events
+            if sink is not None:
+                lines[k].append(json.dumps({
+                    "episode": k,
+                    "t": step.next_world.time,
+                    "robot": _robot_record(step.next_world),
+                    "action": [float(v) for v in np.asarray(step.action)],
+                    "rewards": [float(r) for r in step.rewards],
+                    "total_reward": float(sum(step.rewards)),
+                    "events": list(step.events),
+                }, sort_keys=True) + "\n")
+                done[k] = step.done
+                while written < episodes and done[written]:  # the leading finished ones
+                    sink.writelines(lines[written])
+                    lines[written] = []
+                    written += 1
     finally:
         if sink is not None:
             sink.close()
+    reached = successes = 0
+    violations: dict[str, int] = {}
+    for evs in events:
+        got_there = "reached_target" in evs
+        clean = True
+        for ev in evs:  # every other event is a penalty event
+            if ev != "reached_target":
+                clean = False
+                violations[ev] = violations.get(ev, 0) + 1
+        reached += int(got_there)
+        successes += int(got_there and clean)
     return {
         "episodes": episodes,
         "level": level,
         "seed": seed,
         "success_rate": successes / episodes,
         "reached": reached,
-        "mean_episode_reward": float(np.mean(totals)),
+        "mean_episode_reward": float(np.mean(total)),
         "mean_episode_length": float(np.mean(lengths)),
         "violations": violations,
     }
@@ -231,39 +227,33 @@ def compensation_profile(
     A step counts as far when every obstacle's surface gap exceeds
     CLEARANCE_FACTOR times its own contact range.  A module that learned
     a local dodge should be near-silent on those steps.  Episodes run in
-    lockstep blocks as in `evaluate_policy`; the norms are concatenated
-    episode by episode.
+    lockstep as in `evaluate_policy`; the norms are concatenated episode
+    by episode.
     """
     if not cascade.modules:
         raise TaskConfigError("profile needs at least one module")
     task = cascade.task
+    steps_of = _eval_steps(cascade_actor(cascade), task, episodes, seed, level)
     contact = (
         task.cfg.robot_radius if task.robot == "point" else task.cfg.link_radius
     )
-    act = cascade_actor(cascade)
-    base_norms = []
-    comp_norms = []
+    far_base: list[list[float]] = [[] for _ in range(episodes)]
+    far_comp: list[list[float]] = [[] for _ in range(episodes)]
     total_steps = 0
-    for _, rngs in _blocks(seed, episodes):
-        far_base: list[list[float]] = [[] for _ in rngs]
-        far_comp: list[list[float]] = [[] for _ in rngs]
-        for step in run_episodes(task, act, level, rngs):
-            total_steps += 1
-            world = step.world
-            far = all(
-                obstacle_clearance(world, task.cfg, obs)
-                > CLEARANCE_FACTOR * (obs.radius + contact)
-                for obs in world.obstacles
-            )
-            if far and world.obstacles:
-                rec, j = step.records, step.row
-                far_base[step.episode].append(float(np.linalg.norm(rec.base_action[j])))
-                far_comp[step.episode].append(
-                    float(np.linalg.norm(rec.comp_actions[-1][j]))
-                )
-        for b, c in zip(far_base, far_comp):
-            base_norms += b
-            comp_norms += c
+    for step in steps_of:
+        total_steps += 1
+        world = step.world
+        far = all(
+            obstacle_clearance(world, task.cfg, obs)
+            > CLEARANCE_FACTOR * (obs.radius + contact)
+            for obs in world.obstacles
+        )
+        if far and world.obstacles:
+            rec, j = step.records, step.row
+            far_base[step.episode].append(float(np.linalg.norm(rec.base_action[j])))
+            far_comp[step.episode].append(float(np.linalg.norm(rec.comp_actions[-1][j])))
+    base_norms = [v for norms in far_base for v in norms]
+    comp_norms = [v for norms in far_comp for v in norms]
     if not base_norms:
         raise TaskConfigError("no far-from-obstacle steps observed")
     mean_base = float(np.mean(base_norms))

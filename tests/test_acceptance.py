@@ -44,6 +44,8 @@ from canrl.ppo import PPOConfig, compute_gae, ppo_loss, train_attribute, train_b
 from canrl.taskio import load_stock_task, point_sim_config
 from canrl import cli
 
+pytestmark = pytest.mark.acceptance  # deselect with -m "not acceptance"
+
 EVAL_SEED = 100
 PROFILE_SEED = 200
 

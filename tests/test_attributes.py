@@ -345,6 +345,20 @@ class TestReset:
         assert np.array_equal(w.robot.joint_angles, np.zeros(4))
         assert np.array_equal(w.target_position, [0.45, 0.5])
 
+    def test_short_arm_targets_stay_within_reach(self):
+        # four 0.1 links reach 0.5 from the rail, target radius counted;
+        # the level-1 box (ARM_TARGET_Y) rises to 0.85
+        d = load_stock_task("arm_reach").raw
+        d["sim"] = {"link_lengths": [0.1, 0.1, 0.1, 0.1]}
+        d["nominal"]["target"] = [0.45, 0.3]
+        from canrl.taskio import parse_task
+        task = parse_task(d).task
+        reach = sum(task.cfg.link_lengths) + task.cfg.target_radius
+        assert reach == 0.5
+        for seed in range(400):
+            w = reset(task, 1.0, np.random.default_rng(seed))
+            assert abs(w.target_position[1]) <= reach
+
 
 class TestStepTask:
     def test_rewards_listed_per_attribute(self):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,7 +306,50 @@ class TestLockstep:
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
+STORED_STACK = Path(__file__).resolve().parents[1] / "benchmark" / "inputs" / "two_obstacle_stack.json"
+
+
+class TestAdmission:
+    """Finished episodes are replaced at once: every tick acts on as many
+    worlds as EVAL_BLOCK allows, with no ragged tail before the last."""
+
+    @pytest.mark.parametrize("run", ["evaluate", "profile"])
+    def test_every_tick_is_full(self, monkeypatch, run):
+        task = load_stock_task("point_two_obstacles").task
+        cascade = load_cascade(STORED_STACK, task)
+        episodes = 2 * EVAL_BLOCK + 40
+        act = cascade_actor(cascade)
+        admitted = 0
+        ticks = []  # (worlds acted on, min(EVAL_BLOCK, episodes not yet finished))
+
+        def counting(worlds, rngs):
+            nonlocal admitted
+            admitted += sum(w.step_index == 0 for w in worlds)
+            finished = admitted - len(worlds)
+            ticks.append((len(worlds), min(EVAL_BLOCK, episodes - finished)))
+            return act(worlds, rngs)
+
+        if run == "evaluate":
+            evaluate_policy(counting, task, episodes, seed=7)
+        else:
+            monkeypatch.setattr(harness, "cascade_actor", lambda c: counting)
+            compensation_profile(cascade, episodes, seed=7)
+        assert admitted == episodes
+        short = [t for t in ticks if t[0] != t[1]]
+        assert not short, f"{len(short)} of {len(ticks)} ticks not full, first {short[:3]}"
+
+
 class TestCompensationProfile:
+    @pytest.mark.parametrize("episodes, level", [(0, 1.0), (3, 1.5), (3, -0.1)])
+    def test_bad_arguments_rejected_as_evaluate_policy_does(self, episodes, level):
+        task = load_stock_task("point_obstacle").task
+        cascade = make_cascade(pinned_base(), [pinned_module()], task)
+        with pytest.raises(TaskConfigError) as want:
+            evaluate_policy(cascade_actor(cascade), task, episodes, seed=0, level=level)
+        with pytest.raises(TaskConfigError) as got:
+            compensation_profile(cascade, episodes, seed=0, level=level)
+        assert str(got.value) == str(want.value)
+
     def test_silent_module_scores_near_zero(self):
         task = load_stock_task("point_obstacle").task
         cascade = make_cascade(pinned_base(), [pinned_module((0.0, 0.0))], task)
