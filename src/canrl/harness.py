@@ -12,11 +12,11 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .attributes import Task, obstacle_clearance, run_episodes
+from .attributes import EpisodeStep, Task, obstacle_clearance, run_episodes
 from .cascade import (
     AttributeModule,
     BaseModule,
@@ -122,7 +122,9 @@ def _robot_record(world) -> dict:
 EVAL_BLOCK = 256
 
 
-def _eval_steps(act: Callable, task: Task, episodes: int, seed: int, level: float):
+def _eval_steps(
+    act: Callable, task: Task, episodes: int, seed: int, level: float
+) -> Iterator[EpisodeStep]:
     """The steps of episodes 0..episodes-1, episode k drawing from the
     eval stream at index k, with at most EVAL_BLOCK of them live."""
     if episodes < 1:
@@ -156,7 +158,7 @@ def evaluate_policy(
     events: list[list[str]] = [[] for _ in range(episodes)]
     lines: list[list[str]] = [[] for _ in range(episodes)]
     done = [False] * episodes
-    written = 0  # episodes whose lines are in the file
+    written = 0  # episodes 0..written-1 are in the file
     sink = None
     if trajectory_path is not None:
         Path(trajectory_path).parent.mkdir(parents=True, exist_ok=True)
@@ -178,7 +180,7 @@ def evaluate_policy(
                     "events": list(step.events),
                 }, sort_keys=True) + "\n")
                 done[k] = step.done
-                while written < episodes and done[written]:  # the leading finished ones
+                while written < episodes and done[written]:
                     sink.writelines(lines[written])
                     lines[written] = []
                     written += 1
