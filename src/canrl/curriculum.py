@@ -34,6 +34,10 @@ class CurriculumConfig:
             raise ValueError("growth must exceed 1")
         if not 0.0 < self.initial_level <= self.terminal_level:
             raise ValueError("need 0 < initial_level <= terminal_level")
+        if self.min_entries > self.queue_capacity:  # the level could never rise
+            raise ValueError(
+                f"min_entries {self.min_entries} exceeds queue_capacity {self.queue_capacity}"
+            )
 
 
 @dataclass

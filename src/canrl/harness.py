@@ -10,7 +10,6 @@ import csv
 import dataclasses
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -28,11 +27,12 @@ from .cascade import (
     cascade_act,
     make_cascade,
 )
-from .errors import TaskConfigError
+from .errors import DivergenceError, SimulationFault, TaskConfigError
 from .ppo import (
     EVAL_STREAM,
     IterationLog,
     PPOConfig,
+    RunConfig,
     TrainResult,
     episode_rng,
     train_attribute,
@@ -44,12 +44,6 @@ from .taskio import _NUMBER, LoadedTask, _is, check_fields, read_json
 # ---------------------------------------------------------------------------
 # writers
 
-def format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_json(path: str | Path, payload: dict) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -57,20 +51,15 @@ def write_json(path: str | Path, payload: dict) -> Path:
     return path
 
 
-def write_csv(path: str | Path, columns, rows) -> Path:
+def write_training_log(path: str | Path, log: list[IterationLog]) -> Path:
+    """One row per iteration; csv writes floats by repr and ints by str."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([format_cell(v) for v in row])
+        writer.writerow([f.name for f in dataclasses.fields(IterationLog)])
+        writer.writerows(map(dataclasses.astuple, log))
     return path
-
-
-def write_training_log(path: str | Path, log: list[IterationLog]) -> Path:
-    columns = [f.name for f in dataclasses.fields(IterationLog)]
-    return write_csv(path, columns, map(dataclasses.astuple, log))
 
 
 def log_path_for(out_path: str | Path) -> Path:
@@ -322,15 +311,6 @@ def load_cascade(descriptor_path: str | Path, task: Task) -> CascadePolicy:
 # ---------------------------------------------------------------------------
 # training runs
 
-@dataclass
-class RunConfig:
-    seed: int = 0
-    max_iterations: int = 500
-    # keep training after the curriculum tops out; the extra iterations
-    # polish the policy at full spread instead of stopping at first touch
-    stop_at_terminal: bool = True
-
-
 # the attribute training runs behind the reported point-robot numbers
 MODULE_RECIPES = {
     "point_obstacle": RunConfig(seed=1, max_iterations=200, stop_at_terminal=False),
@@ -359,15 +339,8 @@ def run_train_base(
     run: RunConfig,
     emit: Callable[[str], None] | None = None,
 ) -> TrainResult:
-    result = train_base(
-        loaded.task,
-        PPOConfig(),
-        loaded.curriculum,
-        seed=run.seed,
-        max_iterations=run.max_iterations,
-        progress=_progress_printer("base", emit),
-        stop_at_terminal=run.stop_at_terminal,
-    )
+    progress = _progress_printer("base", emit)
+    result = train_base(loaded.task, PPOConfig(), loaded.curriculum, run, progress)
     save_base(out_path, result.base)
     write_training_log(log_path_for(out_path), result.log)
     return result
@@ -381,16 +354,8 @@ def run_train_attribute(
     emit: Callable[[str], None] | None = None,
 ) -> TrainResult:
     base = load_base(base_path)
-    result = train_attribute(
-        base,
-        loaded.task,
-        PPOConfig(),
-        loaded.curriculum,
-        seed=run.seed,
-        max_iterations=run.max_iterations,
-        progress=_progress_printer("attr", emit),
-        stop_at_terminal=run.stop_at_terminal,
-    )
+    progress = _progress_printer("attr", emit)
+    result = train_attribute(base, loaded.task, PPOConfig(), loaded.curriculum, run, progress)
     save_module(out_path, result.module)
     write_training_log(log_path_for(out_path), result.log)
     return result
@@ -425,13 +390,13 @@ def run_compare(
         if emit is not None:
             emit(f"--- arm {arm}")
         cur = dataclasses.replace(loaded.curriculum, mode="rcl" if arm == "scratch_rcl" else "cl")
-        kw = dict(seed=run.seed, max_iterations=run.max_iterations, progress=_progress_printer(arm, emit))
+        progress = _progress_printer(arm, emit)
         try:
             if arm == "can":
-                result = train_attribute(base, loaded.task, PPOConfig(), cur, **kw)
+                result = train_attribute(base, loaded.task, PPOConfig(), cur, run, progress)
             else:
-                result = train_flat(loaded.task, PPOConfig(), cur, **kw)
-        except Exception as exc:  # noqa: BLE001 - a diverging arm is a result
+                result = train_flat(loaded.task, PPOConfig(), cur, run, progress)
+        except (DivergenceError, SimulationFault) as exc:  # a diverging arm is a result
             summary["arms"][arm] = {"error": f"{type(exc).__name__}: {exc}"}
             continue
         write_training_log(out_dir / f"{arm}.train.csv", result.log)

@@ -372,6 +372,17 @@ class IterationLog:
     kl: float
 
 
+@dataclass(frozen=True)
+class RunConfig:
+    """One training run's seed, iteration budget and stop rule."""
+
+    seed: int = 0
+    max_iterations: int = 500
+    # keep training after the curriculum tops out; the extra iterations
+    # polish the policy at full spread instead of stopping at first touch
+    stop_at_terminal: bool = True
+
+
 @dataclass
 class TrainResult:
     log: list[IterationLog]
@@ -388,19 +399,17 @@ def _train_loop(
     task: Task,
     ppo_cfg: PPOConfig,
     cur_cfg: CurriculumConfig,
-    seed: int,
-    max_iterations: int,
+    run: RunConfig,
+    progress: Callable[[IterationLog], None] | None = None,
     penalty_coeff: float = 0.0,
     on_iteration: Callable[[int], None] | None = None,
-    progress: Callable[[IterationLog], None] | None = None,
-    stop_at_terminal: bool = True,
-) -> tuple[list[IterationLog], CurriculumState, int | None, int]:
+) -> TrainResult:
     # free a 1 MiB block, as the rollout-wide value pass now in the worker did: glibc's malloc then
     # keeps the 128 KiB minibatch temporaries on its heap instead of paging them in anew each time
     np.empty(1 << 17)
     epoch = _learner_half(actor.policy, ppo_loss, ppo_cfg)
     cur = CurriculumState.from_config(cur_cfg)
-    shuffle_rng = episode_rng(seed, SHUFFLE_STREAM, 0)
+    shuffle_rng = episode_rng(run.seed, SHUFFLE_STREAM, 0)
     log: list[IterationLog] = []
     episodes_used = 0
     iters_to_terminal: int | None = None
@@ -413,7 +422,7 @@ def _train_loop(
     child_end.close()  # so a dead worker reads as an EOF here, not a hang
     restore_blas_threads = _one_blas_thread()
     try:
-        for it in range(max_iterations):
+        for it in range(run.max_iterations):
             if on_iteration is not None:
                 on_iteration(it)
             level = effective_reset_level(cur)
@@ -422,7 +431,7 @@ def _train_loop(
                 task,
                 level,
                 ppo_cfg.rollout_steps,
-                seed,
+                run.seed,
                 episode_offset=episodes_used,
                 mode=cur_cfg.mode,
                 penalty_coeff=penalty_coeff,
@@ -474,7 +483,7 @@ def _train_loop(
                 cur, _increased, terminal = curriculum_update(cur, mean_ep)
                 if terminal:
                     iters_to_terminal = it + 1
-                    if stop_at_terminal:
+                    if run.stop_at_terminal:
                         break
             if episodes_used >= ppo_cfg.max_episodes:
                 break
@@ -486,33 +495,28 @@ def _train_loop(
         worker.terminate()
         worker.join()
         restore_blas_threads()
-    return log, cur, iters_to_terminal, episodes_used
+    return TrainResult(log, cur, iters_to_terminal, episodes_used)
 
 
 def train_base(
     task: Task,
     ppo_cfg: PPOConfig,
     cur_cfg: CurriculumConfig,
-    seed: int,
-    max_iterations: int,
+    run: RunConfig,
     progress: Callable[[IterationLog], None] | None = None,
-    stop_at_terminal: bool = True,
 ) -> TrainResult:
     """Train the reaching policy on a bare task; returns a frozen base."""
     if task.addons:
         raise TaskConfigError(f"base training expects a task with no add-ons, got {len(task.addons)}")
-    rng = episode_rng(seed, INIT_STREAM, 0)
+    rng = episode_rng(run.seed, INIT_STREAM, 0)
     policy = GaussianPolicy.create(
         task.base.state_dim, task.action_dim, rng, HIDDEN, ppo_cfg.init_std
     )
     value = DenseNet.create([task.base.state_dim, *HIDDEN, 1], rng)
-    actor = FlatActor(policy, value, task.base.extract)
-    log, cur, itt, eps = _train_loop(
-        actor, task, ppo_cfg, cur_cfg, seed, max_iterations,
-        progress=progress, stop_at_terminal=stop_at_terminal,
-    )
-    base = BaseModule(task.robot, policy, value, frozen=True)
-    return TrainResult(log, cur, itt, eps, base=base, policy=policy)
+    result = _train_loop(FlatActor(policy, value, task.base.extract), task, ppo_cfg, cur_cfg, run, progress)
+    result.base = BaseModule(task.robot, policy, value, frozen=True)
+    result.policy = policy
+    return result
 
 
 def train_attribute(
@@ -520,10 +524,8 @@ def train_attribute(
     task: Task,
     ppo_cfg: PPOConfig,
     cur_cfg: CurriculumConfig,
-    seed: int,
-    max_iterations: int,
+    run: RunConfig,
     progress: Callable[[IterationLog], None] | None = None,
-    stop_at_terminal: bool = True,
 ) -> TrainResult:
     """Train one compensation module on top of a frozen base.
 
@@ -539,7 +541,7 @@ def train_attribute(
             f"attribute training expects a task with exactly one add-on, got {len(task.addons)}"
         )
     spec = task.addons[0]
-    rng = episode_rng(seed, INIT_STREAM, 1)
+    rng = episode_rng(run.seed, INIT_STREAM, 1)
     adim = task.action_dim
     comp = GaussianPolicy.create(
         spec.state_dim + adim, adim, rng, HIDDEN, ppo_cfg.init_std
@@ -557,39 +559,32 @@ def train_attribute(
     cascade = make_cascade(base, [module], task)
     actor = CascadeTailActor(cascade)
     snapshot = [p.copy() for p in base.policy.parameters()]
-    ramp = max(1, math.ceil(ppo_cfg.weight_ramp_fraction * max_iterations))
+    ramp = max(1, math.ceil(ppo_cfg.weight_ramp_fraction * run.max_iterations))
 
     def set_weight(it: int) -> None:
         module.weight = weight_schedule(it, ramp)
 
-    log, cur, itt, eps = _train_loop(
-        actor, task, ppo_cfg, cur_cfg, seed, max_iterations,
-        penalty_coeff=module.penalty_coeff, on_iteration=set_weight, progress=progress,
-        stop_at_terminal=stop_at_terminal,
-    )
+    result = _train_loop(actor, task, ppo_cfg, cur_cfg, run, progress, module.penalty_coeff, set_weight)
     for now, before in zip(base.policy.parameters(), snapshot):
         if now.tobytes() != before.tobytes():
             raise RuntimeError("frozen base changed during attribute training")
-    return TrainResult(log, cur, itt, eps, module=module)
+    result.module = module
+    return result
 
 
 def train_flat(
     task: Task,
     ppo_cfg: PPOConfig,
     cur_cfg: CurriculumConfig,
-    seed: int,
-    max_iterations: int,
+    run: RunConfig,
     progress: Callable[[IterationLog], None] | None = None,
-    stop_at_terminal: bool = True,
 ) -> TrainResult:
     """From-scratch baseline: one policy over the concatenated views."""
-    rng = episode_rng(seed, INIT_STREAM, 2)
+    rng = episode_rng(run.seed, INIT_STREAM, 2)
     dim = full_view_dim(task)
     policy = GaussianPolicy.create(dim, task.action_dim, rng, HIDDEN, ppo_cfg.init_std)
     value = DenseNet.create([dim, *HIDDEN, 1], rng)
     actor = FlatActor(policy, value, lambda worlds: full_view(task, worlds))
-    log, cur, itt, eps = _train_loop(
-        actor, task, ppo_cfg, cur_cfg, seed, max_iterations,
-        progress=progress, stop_at_terminal=stop_at_terminal,
-    )
-    return TrainResult(log, cur, itt, eps, policy=policy)
+    result = _train_loop(actor, task, ppo_cfg, cur_cfg, run, progress)
+    result.policy = policy
+    return result

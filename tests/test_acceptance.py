@@ -68,9 +68,7 @@ def workdir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def point_base(workdir):
     loaded = load_stock_task("point_reach")
-    result = train_base(
-        loaded.task, PPOConfig(), loaded.curriculum, seed=0, max_iterations=500
-    )
+    result = train_base(loaded.task, PPOConfig(), loaded.curriculum, RunConfig(seed=0, max_iterations=500))
     path = workdir / "base.json"
     save_base(path, result.base)
     return result, path
@@ -79,9 +77,7 @@ def point_base(workdir):
 @pytest.fixture(scope="session")
 def arm_base():
     loaded = load_stock_task("arm_reach")
-    return train_base(
-        loaded.task, PPOConfig(), loaded.curriculum, seed=0, max_iterations=1500
-    )
+    return train_base(loaded.task, PPOConfig(), loaded.curriculum, RunConfig(seed=0, max_iterations=1500))
 
 
 @pytest.fixture(scope="session")
@@ -90,11 +86,7 @@ def modules(point_base):
     trained = {}
     for name, run in MODULE_RECIPES.items():
         loaded = load_stock_task(name)
-        result = train_attribute(
-            base_result.base, loaded.task, PPOConfig(), loaded.curriculum,
-            seed=run.seed, max_iterations=run.max_iterations,
-            stop_at_terminal=run.stop_at_terminal,
-        )
+        result = train_attribute(base_result.base, loaded.task, PPOConfig(), loaded.curriculum, run)
         trained[name] = (result, loaded)
     return trained
 

@@ -117,3 +117,9 @@ class TestConfig:
     def test_bad_initial_level_rejected(self):
         with pytest.raises(ValueError):
             CurriculumConfig(initial_level=0.0)
+
+    def test_min_entries_beyond_capacity_rejected(self):
+        # the queue could never hold min_entries rewards, so the level could never rise
+        with pytest.raises(ValueError, match="min_entries 3 exceeds queue_capacity 2"):
+            CurriculumConfig(queue_capacity=2, min_entries=3)
+        CurriculumConfig(queue_capacity=3, min_entries=3)

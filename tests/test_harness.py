@@ -34,12 +34,12 @@ from canrl.harness import (
     save_base,
     save_module,
     write_cascade_descriptor,
-    write_csv,
     write_json,
+    write_training_log,
 )
 from canrl.errors import TaskConfigError
 from canrl.nets import DenseNet, GaussianPolicy
-from canrl.ppo import EVAL_STREAM, episode_rng
+from canrl.ppo import EVAL_STREAM, IterationLog, episode_rng
 from canrl.taskio import load_stock_task, point_sim_config
 
 
@@ -89,12 +89,15 @@ class TestWriters:
         assert back["b"] == [1e-17, math_pi]
 
     def test_csv_shape_and_line_endings(self, tmp_path):
-        p = write_csv(tmp_path / "t.csv", ("a", "b"), [(1, 0.5), (2, 1.0 / 3.0)])
+        rows = [IterationLog(0, 3, 0.5, 1e-300, -0.0, 1e16, math.nan, 2.5e-05),
+                IterationLog(1, 4, 1.0 / 3.0, 0.1 + 0.2, 0.0, 1.0, 2.0, 0.5)]
+        p = write_training_log(tmp_path / "t.train.csv", rows)
         raw = p.read_bytes()
         assert b"\r" not in raw
         lines = raw.decode().strip().split("\n")
-        assert lines[0] == "a,b"
-        assert lines[2] == "2," + repr(1.0 / 3.0)
+        assert lines[0] == "iteration,episodes,random_level,mean_ep_reward,policy_loss,value_loss,entropy,kl"
+        assert lines[1] == "0,3,0.5,1e-300,-0.0,1e+16,nan,2.5e-05"
+        assert lines[2] == f"1,4,{1.0 / 3.0!r},{0.1 + 0.2!r},0.0,1.0,2.0,0.5"
 
     def test_missing_json_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -506,6 +509,35 @@ class TestCli:
         a = outs[0].with_name("base.train.csv").read_bytes()
         b = outs[1].with_name("base.train.csv").read_bytes()
         assert a == b
+
+    def test_stop_rule(self, tmp_path):
+        # a curriculum that starts at its terminal level tops out at the first update
+        d = load_stock_task("point_reach").raw
+        d["curriculum"]["initial_level"] = 1.0
+        (tmp_path / "task.json").write_text(json.dumps(d))
+        logs = []
+        for name, flags in (("stop", []), ("past", ["--train-past-terminal"])):
+            out = tmp_path / name / "base.json"
+            rc = cli.main(["train-base", "--task", str(tmp_path / "task.json"), "--out", str(out),
+                           *TINY, *flags])
+            assert rc == 0
+            logs.append(out.with_name("base.train.csv").read_bytes())
+        stop, past = (log.decode().strip().split("\n") for log in logs)
+        assert len(stop) == 2 and len(past) == 3  # header + 1 iteration, header + 2
+        assert past[:2] == stop
+        assert logs[1].startswith(logs[0])
+
+    def test_train_base_curriculum_that_cannot_widen_exits_2(self, tmp_path, capsys):
+        d = load_stock_task("point_reach").raw
+        d["curriculum"].update(queue_capacity=2, min_entries=3)
+        (tmp_path / "task.json").write_text(json.dumps(d))
+        out = tmp_path / "out.json"
+        rc = cli.main(["train-base", "--task", str(tmp_path / "task.json"), "--out", str(out), *TINY])
+        err = capsys.readouterr().err
+        assert rc == 2
+        lines = err.strip().split("\n")
+        assert lines == ["error: bad curriculum config: min_entries 3 exceeds queue_capacity 2"]
+        assert not out.exists() and not (tmp_path / "out.train.csv").exists()
 
     def test_log_dir_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CAN_LOG_DIR", str(tmp_path / "logs"))

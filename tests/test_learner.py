@@ -21,12 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canrl import ppo
+from canrl import harness, ppo
 from canrl.cascade import BaseModule
 from canrl.curriculum import CurriculumState, curriculum_update, effective_reset_level
 from canrl.dynamics import ArticulatedRobotState, SimConfig, arm_points
 from canrl.errors import DivergenceError
-from canrl.harness import RunConfig, run_compare, save_base, save_module, write_training_log
+from canrl.harness import run_compare, save_base, save_module, write_training_log
 from canrl.nets import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -45,6 +45,8 @@ from canrl.ppo import (
     FlatActor,
     IterationLog,
     PPOConfig,
+    RunConfig,
+    TrainResult,
     collect_rollouts,
     compute_gae,
     episode_rng,
@@ -129,12 +131,10 @@ def ref_ppo_loss(batch, policy, value_net, cfg):
     return loss, [*mean_grads, d_log_std], value_grads, stats
 
 
-def ref_train_loop(
-    actor, task, ppo_cfg, cur_cfg, seed, max_iterations, penalty_coeff=0.0,
-    on_iteration=None, progress=None, stop_at_terminal=True,
-):
+def ref_train_loop(actor, task, ppo_cfg, cur_cfg, run, progress=None, penalty_coeff=0.0, on_iteration=None):
     """The serial learner: both halves of each minibatch in one process, in
     one pass, and one Adam update over every policy and critic array."""
+    seed, max_iterations, stop_at_terminal = run.seed, run.max_iterations, run.stop_at_terminal
     params = [*actor.policy.parameters(), *actor.value_net.parameters()]
     first = [np.zeros_like(p) for p in params]
     second = [np.zeros_like(p) for p in params]
@@ -191,7 +191,7 @@ def ref_train_loop(
                     break
         if episodes_used >= ppo_cfg.max_episodes:
             break
-    return log, cur, iters_to_terminal, episodes_used
+    return TrainResult(log, cur, iters_to_terminal, episodes_used)
 
 
 def ref_compute_gae(rewards, values, dones, discount, lam, last_value=0.0):
@@ -349,7 +349,7 @@ class TestPacking:
         before = [p.copy() for p in base.policy.parameters()]
         obst = load_stock_task("point_obstacle")
         cfg = PPOConfig(rollout_steps=64, epochs_per_iteration=2, minibatch_size=32)
-        res = train_attribute(base, obst.task, cfg, obst.curriculum, seed=1, max_iterations=1)
+        res = train_attribute(base, obst.task, cfg, obst.curriculum, RunConfig(seed=1, max_iterations=1))
         assert same_bits(base.policy.parameters(), before)
         module_arrays = [*res.module.comp_policy.parameters(), *res.module.value_net.parameters()]
         for p in base.policy.parameters():
@@ -360,7 +360,7 @@ class TestPacking:
 
         with pytest.raises(RuntimeError, match="frozen base changed"):
             train_attribute(
-                base, obst.task, cfg, obst.curriculum, seed=1, max_iterations=1,
+                base, obst.task, cfg, obst.curriculum, RunConfig(seed=1, max_iterations=1),
                 progress=nudge_base,
             )
 
@@ -565,26 +565,26 @@ class TestWorkerTwin:
     def test_train_base(self, tmp_path):
         r = self.REACH
         res = self.assert_twin(
-            tmp_path, lambda: train_base(r.task, SMALL, r.curriculum, seed=4, max_iterations=3))
+            tmp_path, lambda: train_base(r.task, SMALL, r.curriculum, RunConfig(seed=4, max_iterations=3)))
         assert len(res.log) == 3
 
     def test_train_attribute(self, tmp_path):
         o = self.OBSTACLE
         base = random_base(self.REACH.task)
         res = self.assert_twin(tmp_path, lambda: train_attribute(
-            base, o.task, SMALL, o.curriculum, seed=1, max_iterations=3))
+            base, o.task, SMALL, o.curriculum, RunConfig(seed=1, max_iterations=3)))
         assert len(res.log) == 3
 
     def test_train_attribute_on_the_arm(self, tmp_path):
         arm = load_stock_task("arm_obstacle")
         base = random_base(load_stock_task("arm_reach").task)
         self.assert_twin(tmp_path, lambda: train_attribute(
-            base, arm.task, SMALL, arm.curriculum, seed=2, max_iterations=2))
+            base, arm.task, SMALL, arm.curriculum, RunConfig(seed=2, max_iterations=2)))
 
     def test_train_flat(self, tmp_path):
         o = self.OBSTACLE
         cur = dataclasses.replace(o.curriculum, mode="rcl")
-        self.assert_twin(tmp_path, lambda: train_flat(o.task, SMALL, cur, seed=5, max_iterations=3))
+        self.assert_twin(tmp_path, lambda: train_flat(o.task, SMALL, cur, RunConfig(seed=5, max_iterations=3)))
 
     def test_kl_early_stop(self, tmp_path, monkeypatch):
         calls = []
@@ -597,7 +597,7 @@ class TestWorkerTwin:
         r = self.REACH
         cfg = dataclasses.replace(SMALL, lr=3e-2, kl_limit=1e-3)
         res = self.assert_twin(
-            tmp_path, lambda: train_base(r.task, cfg, r.curriculum, seed=6, max_iterations=3))
+            tmp_path, lambda: train_base(r.task, cfg, r.curriculum, RunConfig(seed=6, max_iterations=3)))
         # every rollout holds at least 300 steps, so 5 minibatches per epoch
         assert 0 < len(calls) < len(res.log) * cfg.epochs_per_iteration * 5
 
@@ -605,7 +605,7 @@ class TestWorkerTwin:
         r = self.REACH
         cfg = dataclasses.replace(SMALL, rollout_steps=5000, max_episodes=4)
         res = self.assert_twin(
-            tmp_path, lambda: train_base(r.task, cfg, r.curriculum, seed=7, max_iterations=3))
+            tmp_path, lambda: train_base(r.task, cfg, r.curriculum, RunConfig(seed=7, max_iterations=3)))
         assert len(res.log) == 1 and res.episodes_used == 4
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -619,7 +619,7 @@ class TestWorkerTwin:
             for loop in (ppo._train_loop, ref_train_loop):
                 actor = PoisonedActor(self.REACH.task, critic_at=(40,), log_prob_at=(170,))
                 with pytest.raises(DivergenceError) as err:
-                    loop(actor, self.REACH.task, SMALL, self.REACH.curriculum, seed, 2)
+                    loop(actor, self.REACH.task, SMALL, self.REACH.curriculum, RunConfig(seed, 2))
                 msgs.append(str(err.value))
                 assert_no_child_process()
             assert msgs[0] == msgs[1]
@@ -633,7 +633,7 @@ class TestWorkerLifecycle:
     REACH = load_stock_task("point_reach")
 
     def train(self, actor, **kw):
-        ppo._train_loop(actor, self.REACH.task, SMALL, self.REACH.curriculum, 0, 2, **kw)
+        ppo._train_loop(actor, self.REACH.task, SMALL, self.REACH.curriculum, RunConfig(0, 2), **kw)
 
     def test_critic_side_divergence(self):
         actor = PoisonedActor(self.REACH.task, critic_at=(10,), critic_value=math.nan)
@@ -667,6 +667,24 @@ class TestWorkerLifecycle:
         )
         for arm in ("can", "scratch_cl", "scratch_rcl"):
             assert summary["arms"][arm] == {"error": "DivergenceError: non-finite loss nan"}
+        assert_no_child_process()
+
+    def test_compare_raises_what_is_not_divergence(self, tmp_path, monkeypatch):
+        # a broken arm is a bug, not a result: only divergence is recorded
+        def nan_value_loss(batch, value_net, cfg, grads):
+            return math.nan, value_loss(batch, value_net, cfg, grads)[1]
+
+        def broken_flat(*args, **kwargs):
+            raise TypeError("broken arm")
+
+        base_path = save_base(tmp_path / "base.json", random_base(self.REACH.task))
+        monkeypatch.setattr(ppo, "value_loss", nan_value_loss)  # so the can arm ends at once
+        monkeypatch.setattr(harness, "train_flat", broken_flat)
+        with pytest.raises(TypeError, match="broken arm"):
+            run_compare(
+                load_stock_task("point_obstacle"), base_path, tmp_path / "cmp", RunConfig(max_iterations=1)
+            )
+        assert not (tmp_path / "cmp" / "summary.json").exists()
         assert_no_child_process()
 
     def test_blas_runs_one_thread_while_training_then_its_own_count(self):

@@ -15,6 +15,7 @@ from canrl.ppo import (
     FlatActor,
     PPOConfig,
     Rollout,
+    RunConfig,
     collect_rollouts,
     compute_gae,
     episode_rng,
@@ -430,7 +431,7 @@ class TestLockstepRollouts:
 class TestTrainers:
     def test_base_training_runs_and_logs(self):
         loaded = load_stock_task("point_reach")
-        res = train_base(loaded.task, SMALL, loaded.curriculum, seed=0, max_iterations=2)
+        res = train_base(loaded.task, SMALL, loaded.curriculum, RunConfig(seed=0, max_iterations=2))
         assert len(res.log) == 2
         assert res.base is not None and res.base.frozen
         for row in res.log:
@@ -442,8 +443,8 @@ class TestTrainers:
 
     def test_base_training_is_deterministic(self):
         loaded = load_stock_task("point_reach")
-        a = train_base(loaded.task, SMALL, loaded.curriculum, seed=7, max_iterations=2)
-        b = train_base(loaded.task, SMALL, loaded.curriculum, seed=7, max_iterations=2)
+        a = train_base(loaded.task, SMALL, loaded.curriculum, RunConfig(seed=7, max_iterations=2))
+        b = train_base(loaded.task, SMALL, loaded.curriculum, RunConfig(seed=7, max_iterations=2))
         for p, q in zip(a.base.policy.parameters(), b.base.policy.parameters()):
             assert p.tobytes() == q.tobytes()
         assert [r.mean_ep_reward for r in a.log] == [r.mean_ep_reward for r in b.log]
@@ -451,16 +452,16 @@ class TestTrainers:
     def test_base_rejects_addon_tasks(self):
         loaded = load_stock_task("point_obstacle")
         with pytest.raises(ValueError):
-            train_base(loaded.task, SMALL, loaded.curriculum, seed=0, max_iterations=1)
+            train_base(loaded.task, SMALL, loaded.curriculum, RunConfig(seed=0, max_iterations=1))
 
     def test_attribute_training_keeps_base_frozen(self):
         reach = load_stock_task("point_reach")
-        res = train_base(reach.task, SMALL, reach.curriculum, seed=0, max_iterations=1)
+        res = train_base(reach.task, SMALL, reach.curriculum, RunConfig(seed=0, max_iterations=1))
         base = res.base
         before = [p.copy() for p in base.policy.parameters()]
         obst = load_stock_task("point_obstacle")
         attr = train_attribute(
-            base, obst.task, SMALL, obst.curriculum, seed=1, max_iterations=2
+            base, obst.task, SMALL, obst.curriculum, RunConfig(seed=1, max_iterations=2)
         )
         assert attr.module is not None
         assert attr.module.kind == "obstacle"
@@ -478,10 +479,10 @@ class TestTrainers:
         )
         obst = load_stock_task("point_obstacle")
         with pytest.raises(ValueError):
-            train_attribute(base, obst.task, SMALL, obst.curriculum, 0, 1)
+            train_attribute(base, obst.task, SMALL, obst.curriculum, RunConfig(0, 1))
 
     def test_flat_baseline_runs(self):
         loaded = load_stock_task("point_obstacle")
-        res = train_flat(loaded.task, SMALL, loaded.curriculum, seed=0, max_iterations=1)
+        res = train_flat(loaded.task, SMALL, loaded.curriculum, RunConfig(seed=0, max_iterations=1))
         assert res.policy is not None
         assert res.policy.state_dim == 15
