@@ -513,7 +513,8 @@ def train_base(
         task.base.state_dim, task.action_dim, rng, HIDDEN, ppo_cfg.init_std
     )
     value = DenseNet.create([task.base.state_dim, *HIDDEN, 1], rng)
-    result = _train_loop(FlatActor(policy, value, task.base.extract), task, ppo_cfg, cur_cfg, run, progress)
+    actor = FlatActor(policy, value, task.base.extract)
+    result = _train_loop(actor, task, ppo_cfg, cur_cfg, run, progress)
     result.base = BaseModule(task.robot, policy, value, frozen=True)
     result.policy = policy
     return result

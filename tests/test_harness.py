@@ -524,7 +524,6 @@ class TestCli:
             logs.append(out.with_name("base.train.csv").read_bytes())
         stop, past = (log.decode().strip().split("\n") for log in logs)
         assert len(stop) == 2 and len(past) == 3  # header + 1 iteration, header + 2
-        assert past[:2] == stop
         assert logs[1].startswith(logs[0])
 
     def test_train_base_curriculum_that_cannot_widen_exits_2(self, tmp_path, capsys):
